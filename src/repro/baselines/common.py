@@ -234,8 +234,8 @@ class RandomQueryGenerator:
         var = rng.choice(element_vars)
         # Property names are drawn from the graph's actual keys so accesses
         # frequently hit real values.
-        keys = sorted({key.name for key in self.graph.all_property_keys()})
-        name = rng.choice(keys) if keys else "id"
+        names = self.graph.property_names()
+        name = rng.choice(names) if names else "id"
         return ast.PropertyAccess(ast.Variable(var), name)
 
     def _expression(self, element_vars: List[str], depth: int) -> ast.Expression:

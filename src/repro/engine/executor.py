@@ -40,8 +40,7 @@ def _build_default_procedures() -> ProcedureRegistry:
         return ["relationshipType"], [[t] for t in graph.relationship_types()]
 
     def db_property_keys(graph: PropertyGraph, args: Sequence[Any]):
-        keys = sorted({key.name for key in graph.all_property_keys()})
-        return ["propertyKey"], [[key] for key in keys]
+        return ["propertyKey"], [[name] for name in graph.property_names()]
 
     return {
         "db.labels": db_labels,

@@ -161,6 +161,11 @@ class PropertyGraph:
         # (node_id, direction, rel_type or None) -> [(rel, far node id)]
         # in the matcher's enumeration order; see expand_pairs().
         self._expand_pairs: Dict[tuple, List[tuple]] = {}
+        # Lazily built property enumerations (all_property_keys() and
+        # property_names()).  Like the property index they go stale on
+        # in-place property writes, so both invalidation hooks drop them.
+        self._property_keys: Optional[Tuple[PropertyKey, ...]] = None
+        self._property_names: Optional[Tuple[str, ...]] = None
 
     def _invalidate_sorted_views(self) -> None:
         if self._sorted_out:
@@ -178,17 +183,21 @@ class PropertyGraph:
             self._property_index = {}
         if self._expand_pairs:
             self._expand_pairs = {}
+        self._property_keys = None
+        self._property_names = None
 
     def invalidate_property_index(self) -> None:
-        """Drop the lazily-built property-value index.
+        """Drop the lazily-built views that read property contents.
 
         Structural mutations invalidate every cached view automatically;
         this hook covers in-place property mutation (``SET`` / ``REMOVE``),
         which leaves the structural views valid but can move nodes between
-        property-index buckets.
+        property-index buckets and add or retire property keys and names.
         """
         if self._property_index:
             self._property_index = {}
+        self._property_keys = None
+        self._property_names = None
 
     # -- construction -------------------------------------------------
 
@@ -493,16 +502,40 @@ class PropertyGraph:
             return self._nodes[key.element_id].properties.get(key.name)
         return self._relationships[key.element_id].properties.get(key.name)
 
-    def all_property_keys(self) -> List[PropertyKey]:
-        """Enumerate every property in the graph as a :class:`PropertyKey`."""
-        keys: List[PropertyKey] = []
-        for node in self._nodes.values():
-            keys.extend(
-                PropertyKey("node", node.id, name) for name in node.properties
-            )
-        for rel in self._relationships.values():
-            keys.extend(PropertyKey("rel", rel.id, name) for name in rel.properties)
-        return keys
+    def all_property_keys(self) -> Tuple[PropertyKey, ...]:
+        """Every property in the graph as a :class:`PropertyKey`.
+
+        Nodes first, then relationships, each in insertion order.  Built
+        lazily and cached until the next mutation.
+        """
+        if self._property_keys is None:
+            keys: List[PropertyKey] = []
+            for node in self._nodes.values():
+                keys.extend(
+                    PropertyKey("node", node.id, name) for name in node.properties
+                )
+            for rel in self._relationships.values():
+                keys.extend(
+                    PropertyKey("rel", rel.id, name) for name in rel.properties
+                )
+            self._property_keys = tuple(keys)
+        return self._property_keys
+
+    def property_names(self) -> Tuple[str, ...]:
+        """The sorted distinct property names across nodes and relationships.
+
+        The graph's property vocabulary, equal to
+        ``sorted({k.name for k in self.all_property_keys()})``.  Built
+        lazily from the element dicts and cached until the next mutation.
+        """
+        if self._property_names is None:
+            names = set()
+            for node in self._nodes.values():
+                names.update(node.properties)
+            for rel in self._relationships.values():
+                names.update(rel.properties)
+            self._property_names = tuple(sorted(names))
+        return self._property_names
 
     # -- misc ------------------------------------------------------------
 

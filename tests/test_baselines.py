@@ -26,6 +26,7 @@ from repro.engine.binding import ResultSet
 from repro.engine.executor import Executor
 from repro.gdb import ReferenceGDB, create_engine
 from repro.graph.generator import GraphGenerator
+from repro.graph.model import PropertyGraph
 
 
 def clean_engine(name="neo4j"):
@@ -77,6 +78,58 @@ class TestRandomQueryGenerator:
         assert average_deps(GDsmithTester.profile) > average_deps(
             GameraTester.profile
         )
+
+
+BASELINE_TESTERS = [
+    GDsmithTester, GDBMeterTester, GameraTester, GQTTester, GRevTester,
+]
+
+
+class TestPropertyVocabulary:
+    """The generators draw property names from the graph's cached vocabulary."""
+
+    @staticmethod
+    def _texts(tester_class, n=200):
+        graph = GraphGenerator(seed=5).generate()
+        qgen = RandomQueryGenerator(graph, random.Random(5), tester_class.profile)
+        return [print_query(qgen.generate()) for _ in range(n)]
+
+    @pytest.mark.parametrize("tester_class", BASELINE_TESTERS)
+    def test_queries_match_the_uncached_derivation(self, tester_class, monkeypatch):
+        cached = self._texts(tester_class)
+        monkeypatch.setattr(
+            PropertyGraph,
+            "property_names",
+            lambda graph: sorted({key.name for key in graph.all_property_keys()}),
+        )
+        assert self._texts(tester_class) == cached
+
+    @pytest.mark.parametrize("tester_class", BASELINE_TESTERS)
+    def test_one_round_builds_the_vocabulary_once(self, tester_class, monkeypatch):
+        graph = GraphGenerator(seed=6).generate()
+        counts = {"key_scans": 0, "builds": 0}
+        all_keys = PropertyGraph.all_property_keys
+        names = PropertyGraph.property_names
+
+        def counting_all_keys(self):
+            counts["key_scans"] += 1
+            return all_keys(self)
+
+        def counting_names(self):
+            counts["builds"] += self._property_names is None
+            return names(self)
+
+        monkeypatch.setattr(PropertyGraph, "all_property_keys", counting_all_keys)
+        monkeypatch.setattr(PropertyGraph, "property_names", counting_names)
+        if tester_class is GDsmithTester:
+            tester = GDsmithTester([clean_engine("memgraph")])
+        else:
+            tester = tester_class()
+        engine = clean_engine("neo4j")
+        queries = list(tester.proposals(engine, graph, None, random.Random(6)))
+        assert len(queries) == tester.queries_per_graph
+        assert counts["key_scans"] == 0
+        assert counts["builds"] <= 1
 
 
 class TestTLPPartitioning:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.cypher.parser import parse_query
+from repro.engine.executor import Executor
+from repro.gdb.state_effects import StateEffect
 from repro.graph.model import Node, Path, PropertyGraph, PropertyKey, Relationship
 
 
@@ -121,6 +124,108 @@ class TestProperties:
 
     def test_missing_property_is_none(self, small_graph):
         assert small_graph.property_value(PropertyKey("node", 0, "ghost")) is None
+
+
+def _fresh_keys(graph):
+    """The property enumeration derived from the elements, bypassing caches."""
+    nodes = [
+        PropertyKey("node", n.id, name) for n in graph.nodes() for name in n.properties
+    ]
+    rels = [
+        PropertyKey("rel", r.id, name)
+        for r in graph.relationships()
+        for name in r.properties
+    ]
+    return nodes + rels
+
+
+def _assert_vocabulary_fresh(graph):
+    keys = _fresh_keys(graph)
+    assert list(graph.all_property_keys()) == keys
+    assert list(graph.property_names()) == sorted({key.name for key in keys})
+
+
+class TestPropertyVocabulary:
+    """The cached key tuple and name vocabulary follow every mutation path."""
+
+    def test_names_are_sorted_and_distinct(self, small_graph):
+        assert small_graph.property_names() == ("id", "name", "rating")
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_cached_and_immutable(self, small_graph):
+        names = small_graph.property_names()
+        keys = small_graph.all_property_keys()
+        assert small_graph.property_names() is names
+        assert small_graph.all_property_keys() is keys
+        with pytest.raises((TypeError, AttributeError)):
+            names[0] = "hijacked"
+        with pytest.raises(AttributeError):
+            names.append("hijacked")
+        with pytest.raises(AttributeError):
+            keys.append(PropertyKey("node", 0, "hijacked"))
+        assert small_graph.property_names() == ("id", "name", "rating")
+
+    def test_empty_graph(self):
+        graph = PropertyGraph()
+        assert graph.property_names() == ()
+        assert graph.all_property_keys() == ()
+
+    def test_add_node_with_new_key(self, small_graph):
+        small_graph.property_names()
+        small_graph.add_node(["USER"], {"age": 30})
+        assert "age" in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_add_relationship_with_new_key(self, small_graph):
+        small_graph.property_names()
+        small_graph.add_relationship(2, 0, "LIKE", {"since": 2020})
+        assert "since" in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_remove_relationship_drops_last_holder(self, small_graph):
+        rel = small_graph.add_relationship(2, 0, "LIKE", {"since": 2020})
+        assert "since" in small_graph.property_names()
+        small_graph.remove_relationship(rel.id)
+        assert "since" not in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_detach_delete_drops_last_holder(self, small_graph):
+        # Node 0 is the start of both LIKE relationships, the only holders
+        # of "rating".
+        assert "rating" in small_graph.property_names()
+        small_graph.detach_delete_node(0)
+        assert "rating" not in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_executor_set_adds_key(self, small_graph):
+        small_graph.property_names()
+        Executor(small_graph).execute(
+            parse_query("MATCH (n {id: 0}) SET n.fresh = 1")
+        )
+        assert "fresh" in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_executor_remove_retires_key(self, small_graph):
+        small_graph.property_names()
+        Executor(small_graph).execute(parse_query("MATCH (n) REMOVE n.name"))
+        assert "name" not in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_lost_set_state_effect(self, small_graph):
+        tree = parse_query("MATCH (n {id: 0}) SET n.fresh = 1")
+        before = small_graph.copy()
+        Executor(small_graph).execute(tree)
+        assert "fresh" in small_graph.property_names()
+        # The corrupted engine state loses the write: the key disappears.
+        StateEffect.lost_set(small_graph, before, tree, 0)
+        assert "fresh" not in small_graph.property_names()
+        _assert_vocabulary_fresh(small_graph)
+
+    def test_db_property_keys_procedure(self, small_graph):
+        result = Executor(small_graph).execute(
+            parse_query("CALL db.propertyKeys() YIELD propertyKey RETURN propertyKey")
+        )
+        assert [row[0] for row in result.rows] == ["id", "name", "rating"]
 
 
 class TestCopy:

@@ -15,6 +15,7 @@ from repro.core.operations import (
     Operation,
 )
 from repro.graph.generator import GraphGenerator
+from repro.graph.model import PropertyGraph
 
 
 def seed_plan(seed, **kwargs):
@@ -119,3 +120,22 @@ class TestSupplementaryKnobs:
         for alias, source in plan.alias_sources.items():
             if source is not None:
                 assert source in plan.element_vars.values()
+
+
+class TestCachedKeySelection:
+    def test_selection_matches_a_fresh_key_list(self, monkeypatch):
+        """Sampling the graph's cached key tuple draws what a fresh list did."""
+        def select(seed):
+            graph = GraphGenerator(seed=seed).generate()
+            rng = random.Random(seed)
+            return [
+                [(e.key, e.value) for e in select_ground_truth(graph, rng).entries]
+                for _ in range(5)
+            ]
+
+        cached = [select(seed) for seed in range(20)]
+        all_keys = PropertyGraph.all_property_keys
+        monkeypatch.setattr(
+            PropertyGraph, "all_property_keys", lambda graph: list(all_keys(graph))
+        )
+        assert [select(seed) for seed in range(20)] == cached
