@@ -26,7 +26,7 @@ from repro.baselines.common import (
     GeneratorProfile,
     run_and_observe,
 )
-from repro.core.runner import BugReport, CampaignResult
+from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
 from repro.cypher.printer import print_query
 from repro.engine.evaluator import has_aggregate

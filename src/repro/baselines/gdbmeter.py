@@ -23,7 +23,7 @@ from repro.baselines.common import (
     run_and_observe,
     run_query_guarded,
 )
-from repro.core.runner import BugReport, CampaignResult
+from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
 from repro.cypher.printer import print_query
 from repro.engine.binding import ResultSet

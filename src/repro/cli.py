@@ -77,8 +77,25 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_mode_argument(parser: argparse.ArgumentParser) -> None:
-    """``--engine-mode`` flag shared by campaign and compare."""
+def _add_cell_arguments(parser: argparse.ArgumentParser,
+                        minutes: float) -> None:
+    """Per-cell campaign options (one :class:`repro.runtime.CellConfig`
+    field each), shared by campaign, compare and submit."""
+    parser.add_argument("--minutes", type=float, default=minutes,
+                        help="simulated minutes of testing per cell")
+    parser.add_argument("--gate-scale", type=float, default=1.0,
+                        help="<1 compresses fault latency")
+    parser.add_argument("--metrics", action="store_true",
+                        help="collect metrics and spans into the event log")
+    parser.add_argument("--coverage", action="store_true",
+                        help="collect query-feature coverage events")
+    parser.add_argument("--triage", action="store_true",
+                        help="collect bug-signature triage events")
+    parser.add_argument(
+        "--step-budget", type=int, default=None, metavar="S",
+        help="evaluation step budget per judgement; a blown budget is "
+             "recorded as a harness_error, never a bug",
+    )
     parser.add_argument(
         "--engine-mode", default="interpreted",
         choices=["interpreted", "compiled", "dual"],
@@ -86,10 +103,6 @@ def _add_engine_mode_argument(parser: argparse.ArgumentParser) -> None:
              "interpreter, compiled operator pipelines, or dual "
              "(both, raising on any divergence)",
     )
-
-
-def _add_adaptive_argument(parser: argparse.ArgumentParser) -> None:
-    """``--adaptive[=STRATEGY]`` flag shared by campaign and compare."""
     parser.add_argument(
         "--adaptive", nargs="?", const="epsilon", default=None,
         choices=["epsilon", "ucb"], metavar="STRATEGY",
@@ -98,10 +111,6 @@ def _add_adaptive_argument(parser: argparse.ArgumentParser) -> None:
              "explore/exploit schedule (epsilon-decay greedy by default, "
              "or UCB1); deterministic given the cell seed",
     )
-
-
-def _add_stateful_argument(parser: argparse.ArgumentParser) -> None:
-    """``--stateful[=RATIO]`` flag shared by campaign and compare."""
     parser.add_argument(
         "--stateful", nargs="?", const=0.5, default=None, type=float,
         metavar="RATIO",
@@ -110,6 +119,41 @@ def _add_stateful_argument(parser: argparse.ArgumentParser) -> None:
              "at the given write ratio (default 0.5) and check post-write "
              "state against a lockstep shadow graph",
     )
+
+
+def _cell_config(args):
+    """The validated :class:`CellConfig` of the cell flags (None when
+    invalid; prints why)."""
+    from repro.runtime import CellConfig
+
+    try:
+        return CellConfig.from_dict({
+            "budget_seconds": args.minutes * 60.0,
+            "gate_scale": args.gate_scale,
+            "execution_mode": args.engine_mode,
+            "adaptive": args.adaptive,
+            "stateful": args.stateful,
+            "step_budget": args.step_budget,
+            "record_metrics": args.metrics,
+            "record_coverage": args.coverage,
+            "record_triage": args.triage,
+        })
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
+def _add_grid_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """Event-log and flight-recorder flags shared by campaign and compare."""
+    parser.add_argument("--events", default=None,
+                        help="append the JSONL event stream to this path")
+    parser.add_argument("--resume", default=None,
+                        help="resume completed cells from this event log")
+    parser.add_argument("--bundles", default=None, metavar="DIR",
+                        help="write one repro bundle per new bug signature")
+    parser.add_argument("--reduce", action="store_true",
+                        help="minimize each recorded bundle (*.min.json); "
+                             "requires --bundles")
 
 
 def _add_supervisor_arguments(parser: argparse.ArgumentParser) -> None:
@@ -130,11 +174,6 @@ def _add_supervisor_arguments(parser: argparse.ArgumentParser) -> None:
              "event-log tail truncation with probability P (supervisor "
              "self-test; campaign results are unaffected)",
     )
-    parser.add_argument(
-        "--step-budget", type=int, default=None, metavar="S",
-        help="evaluation step budget per judgement; a blown budget is "
-             "recorded as a harness_error, never a bug",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,41 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--tester", default="GQS",
                           choices=["GQS", "GDsmith", "GDBMeter", "Gamera",
                                    "GQT", "GRev"])
-    campaign.add_argument("--minutes", type=float, default=5.0,
-                          help="simulated minutes of testing")
     campaign.add_argument("--seed", type=int, default=0)
-    campaign.add_argument("--gate-scale", type=float, default=1.0,
-                          help="<1 compresses fault latency")
     campaign.add_argument("--out", default=None,
                           help="write the campaign result as JSON")
     campaign.add_argument("--seeds", type=int, default=1,
                           help="replicate the campaign over K derived seeds")
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the seed replicates")
-    campaign.add_argument("--events", default=None,
-                          help="append the JSONL event stream to this path")
-    campaign.add_argument("--resume", default=None,
-                          help="resume completed cells from this event log")
-    campaign.add_argument("--metrics", action="store_true",
-                          help="collect metrics and spans into the event log")
-    campaign.add_argument("--coverage", action="store_true",
-                          help="collect query-feature coverage events")
-    campaign.add_argument("--triage", action="store_true",
-                          help="collect bug-signature triage events")
-    campaign.add_argument("--bundles", default=None, metavar="DIR",
-                          help="write one repro bundle per new bug signature")
-    campaign.add_argument("--reduce", action="store_true",
-                          help="minimize each recorded bundle (*.min.json); "
-                               "requires --bundles")
-    _add_engine_mode_argument(campaign)
-    _add_adaptive_argument(campaign)
-    _add_stateful_argument(campaign)
+    _add_cell_arguments(campaign, minutes=5.0)
+    _add_grid_output_arguments(campaign)
     _add_supervisor_arguments(campaign)
 
     compare = sub.add_parser("compare", help="all six testers, same budget")
     compare.add_argument("--engine", default="falkordb",
                          choices=["neo4j", "memgraph", "kuzu", "falkordb"])
-    compare.add_argument("--minutes", type=float, default=2.0)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the tester grid")
@@ -195,24 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["text", "json"],
                          help="text table (default) or machine-readable "
                               "JSON rows")
-    compare.add_argument("--events", default=None,
-                         help="append the JSONL event stream to this path")
-    compare.add_argument("--resume", default=None,
-                         help="resume completed cells from this event log")
-    compare.add_argument("--metrics", action="store_true",
-                         help="collect metrics and spans into the event log")
-    compare.add_argument("--coverage", action="store_true",
-                         help="collect query-feature coverage events")
-    compare.add_argument("--triage", action="store_true",
-                         help="collect bug-signature triage events")
-    compare.add_argument("--bundles", default=None, metavar="DIR",
-                         help="write one repro bundle per new bug signature")
-    compare.add_argument("--reduce", action="store_true",
-                         help="minimize each recorded bundle (*.min.json); "
-                              "requires --bundles")
-    _add_engine_mode_argument(compare)
-    _add_adaptive_argument(compare)
-    _add_stateful_argument(compare)
+    _add_cell_arguments(compare, minutes=2.0)
+    _add_grid_output_arguments(compare)
     _add_supervisor_arguments(compare)
 
     stats = sub.add_parser(
@@ -315,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     synthesize.add_argument("--seed", type=int, default=7)
     synthesize.add_argument("--engine", default="neo4j",
                             choices=["neo4j", "memgraph", "kuzu", "falkordb"])
-    synthesize.add_argument("--gremlin", action="store_true",
-                            help="also translate the query to Gremlin (§7)")
 
     calibrate = sub.add_parser(
         "calibrate", help="print per-fault trigger rates per generator"
@@ -372,13 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--seeds", type=int, default=1,
                         help="K seeds starting at --seed")
-    submit.add_argument("--minutes", type=float, default=2.0,
-                        help="simulated minutes per cell")
-    submit.add_argument("--gate-scale", type=float, default=1.0)
-    submit.add_argument("--metrics", action="store_true",
-                        help="record metrics into the service journal")
-    submit.add_argument("--coverage", action="store_true")
-    submit.add_argument("--triage", action="store_true")
     submit.add_argument("--spec", default=None, metavar="PATH",
                         help="submit a raw JSON job spec instead of flags")
     submit.add_argument("--wait", action="store_true",
@@ -386,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "any cell was quarantined")
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="--wait deadline in seconds")
-    _add_engine_mode_argument(submit)
-    _add_adaptive_argument(submit)
-    _add_stateful_argument(submit)
+    _add_cell_arguments(submit, minutes=2.0)
 
     jobs = sub.add_parser("jobs", help="list jobs on a running service")
     jobs.add_argument("--url", default="http://127.0.0.1:8765")
@@ -407,6 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_inputs(args):
+    """The :class:`CellConfig` and the other ``run_campaign_grid``
+    arguments of the campaign/compare flags; None when they are invalid
+    (prints why)."""
+    if args.reduce and not args.bundles:
+        print("--reduce requires --bundles DIR", file=sys.stderr)
+        return None
+    chaos = _parse_chaos(args)
+    config = _cell_config(args)
+    if (args.chaos and chaos is None) or config is None:
+        return None
+    return config, dict(
+        jobs=args.jobs, events_path=args.events or args.resume,
+        resume_path=args.resume, bundle_dir=args.bundles,
+        reduce_bundles=args.reduce, cell_timeout=args.cell_timeout,
+        cell_retries=args.cell_retries, chaos=chaos,
+    )
+
+
 def _cmd_campaign(args) -> int:
     from repro.experiments import run_campaign_grid, tester_supports
     from repro.experiments.campaign import run_tool_campaign, split_fault_counts
@@ -414,38 +424,24 @@ def _cmd_campaign(args) -> int:
     if not tester_supports(args.tester, args.engine):
         print(f"{args.tester} does not support {args.engine}", file=sys.stderr)
         return 2
-    if args.reduce and not args.bundles:
-        print("--reduce requires --bundles DIR", file=sys.stderr)
+    inputs = _grid_inputs(args)
+    if inputs is None:
         return 2
-    chaos = _parse_chaos(args)
-    if args.chaos and chaos is None:
-        return 2
-    budget_seconds = args.minutes * 60.0
+    config, grid_options = inputs
 
     supervised = (args.cell_timeout is not None or args.cell_retries
-                  or chaos is not None)
+                  or grid_options["chaos"] is not None)
     if args.seeds <= 1 and not args.resume and not supervised:
-        from contextlib import nullcontext
-
-        from repro.obs import observed
-
         events = None
         if args.events:
             from repro.runtime import EventLog
 
             events = EventLog(args.events, record_spans=args.metrics)
-        scope = observed() if args.metrics else nullcontext()
-        with scope:
-            result = run_tool_campaign(
-                args.tester, args.engine, budget_seconds=budget_seconds,
-                seed=args.seed, gate_scale=args.gate_scale, events=events,
-                record_coverage=args.coverage, record_triage=args.triage,
-                bundle_dir=args.bundles, reduce_bundles=args.reduce,
-                step_budget=args.step_budget,
-                execution_mode=args.engine_mode,
-                adaptive=args.adaptive,
-                stateful=args.stateful,
-            )
+        result = run_tool_campaign(
+            args.tester, args.engine, seed=args.seed, events=events,
+            bundle_dir=args.bundles, reduce_bundles=args.reduce,
+            config=config,
+        )
         if events is not None:
             events.close()
         results = {(args.tester, args.engine, args.seed): result}
@@ -455,17 +451,7 @@ def _cmd_campaign(args) -> int:
         results = run_campaign_grid(
             (args.tester,), (args.engine,),
             seeds=range(args.seed, args.seed + args.seeds),
-            budget_seconds=budget_seconds, gate_scale=args.gate_scale,
-            derive_seeds=args.seeds > 1, jobs=args.jobs,
-            events_path=args.events or args.resume, resume_path=args.resume,
-            record_metrics=args.metrics, record_coverage=args.coverage,
-            record_triage=args.triage, bundle_dir=args.bundles,
-            reduce_bundles=args.reduce,
-            cell_timeout=args.cell_timeout, cell_retries=args.cell_retries,
-            chaos=chaos, step_budget=args.step_budget,
-            execution_mode=args.engine_mode,
-            adaptive=args.adaptive,
-            stateful=args.stateful,
+            derive_seeds=args.seeds > 1, config=config, **grid_options,
         )
 
     all_faults: List[str] = []
@@ -546,25 +532,12 @@ def _cmd_compare(args) -> int:
         split_fault_counts,
     )
 
-    if args.reduce and not args.bundles:
-        print("--reduce requires --bundles DIR", file=sys.stderr)
+    inputs = _grid_inputs(args)
+    if inputs is None:
         return 2
-    chaos = _parse_chaos(args)
-    if args.chaos and chaos is None:
-        return 2
-    grid = run_campaign_grid(
-        TESTER_NAMES, (args.engine,), seeds=(args.seed,),
-        budget_seconds=args.minutes * 60.0, jobs=args.jobs,
-        events_path=args.events or args.resume, resume_path=args.resume,
-        record_metrics=args.metrics, record_coverage=args.coverage,
-        record_triage=args.triage, bundle_dir=args.bundles,
-        reduce_bundles=args.reduce,
-        cell_timeout=args.cell_timeout, cell_retries=args.cell_retries,
-        chaos=chaos, step_budget=args.step_budget,
-        execution_mode=args.engine_mode,
-        adaptive=args.adaptive,
-        stateful=args.stateful,
-    )
+    config, grid_options = inputs
+    grid = run_campaign_grid(TESTER_NAMES, (args.engine,), seeds=(args.seed,),
+                             config=config, **grid_options)
     by_tool = {tool: result for (tool, _e, _s), result in grid.items()}
     # "distinct" deduplicates the raw report stream by bug signature —
     # "bugs" counts injected faults (white-box), "reports" every
@@ -979,14 +952,6 @@ def _cmd_synthesize(args) -> int:
     print(f"rows expected: {len(result.expected)}")
     print(f"\nquery ({result.n_steps} clauses):")
     print(print_query(result.query))
-    if args.gremlin:
-        from repro.cypher.gremlin import UnsupportedForGremlin, translate_query
-
-        print("\nGremlin translation (§7):")
-        try:
-            print(translate_query(result.query))
-        except UnsupportedForGremlin as exc:
-            print(f"  not translatable: {exc}")
     return 0
 
 
@@ -1047,19 +1012,15 @@ def _cmd_submit(args) -> int:
             print(f"cannot read spec {args.spec}: {exc}", file=sys.stderr)
             return 2
     else:
+        config = _cell_config(args)
+        if config is None:
+            return 2
         spec = {
             "testers": args.testers or ["GQS"],
             "engines": args.engines or ["falkordb"],
             "seeds": list(range(args.seed, args.seed + max(1, args.seeds))),
-            "budget_seconds": args.minutes * 60.0,
-            "gate_scale": args.gate_scale,
             "derive_seeds": args.seeds > 1,
-            "execution_mode": args.engine_mode,
-            "adaptive": args.adaptive,
-            "stateful": args.stateful,
-            "record_metrics": args.metrics,
-            "record_coverage": args.coverage,
-            "record_triage": args.triage,
+            **config.to_dict(),
         }
     client = _service_client(args.url)
     try:

@@ -62,16 +62,9 @@ _Template = Callable[[ast.Expression], ast.Expression]
 class ExpressionFactory:
     """Random yet value-controlled expression synthesis."""
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        rng: random.Random,
-        use_comprehensions: bool = True,
-    ):
+    def __init__(self, graph: PropertyGraph, rng: random.Random):
         self.graph = graph
         self.rng = rng
-        # Disabled for the §7 Gremlin setup, which cannot translate them.
-        self.use_comprehensions = use_comprehensions
         self._evaluator = Evaluator(graph)
 
     # ------------------------------------------------------------------
@@ -92,9 +85,7 @@ class ExpressionFactory:
     def _constant_builders(self, value: Any):
         rng = self.rng
         generic = [self._via_case, self._via_coalesce, self._via_head,
-                   self._via_index]
-        if self.use_comprehensions:
-            generic.append(self._via_comprehension)
+                   self._via_index, self._via_comprehension]
 
         if value is None:
             return [lambda v, d: ast.Literal(None), self._via_coalesce]

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
-from repro.core.runner import BugReport, CampaignResult
+from repro.runtime.results import BugReport, CampaignResult
 
 __all__ = [
     "report_to_dict",

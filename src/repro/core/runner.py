@@ -11,9 +11,7 @@ describes.
 The campaign loop itself lives in :class:`repro.runtime.CampaignKernel`;
 this module contributes GQS's side of the :class:`TesterProtocol`: the
 restart-per-graph session policy, the ground-truth-driven proposal stream,
-and the zero-false-positive oracle judgement.  ``BugReport`` and
-``CampaignResult`` are re-exported from :mod:`repro.runtime.results` for
-backwards compatibility.
+and the zero-false-positive oracle judgement.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.graph.generator import GeneratorConfig
 from repro.runtime.protocol import Judgement, SessionPolicy, TesterProtocol
 from repro.runtime.results import BugReport, CampaignResult
 
-__all__ = ["BugReport", "CampaignResult", "GQSTester", "synthesizer_config_for"]
+__all__ = ["GQSTester", "synthesizer_config_for"]
 
 
 def synthesizer_config_for(engine: GraphDatabase, **overrides) -> SynthesizerConfig:

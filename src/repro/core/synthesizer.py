@@ -69,7 +69,6 @@ class SynthesizerConfig:
     plain_truncation_probability: float = 0.2  # leave multiplicity in place
     count_star_alias_probability: float = 0.15
     max_list_length: int = 4
-    use_list_comprehensions: bool = True
     # Dialect switches (see repro.gdb.dialects).
     supports_call_procedures: bool = True
     needs_uniqueness_predicates: bool = False
@@ -153,10 +152,7 @@ class QuerySynthesizer:
             # shared across graph rounds — is never mutated.
             self.config = weights.apply_synthesizer(self.config)
         self.weights = weights
-        self.expressions = ExpressionFactory(
-            graph, self.rng,
-            use_comprehensions=self.config.use_list_comprehensions,
-        )
+        self.expressions = ExpressionFactory(graph, self.rng)
         self.evaluator = Evaluator(graph)
         self.builder = PatternBuilder(
             graph,

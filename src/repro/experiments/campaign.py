@@ -23,8 +23,10 @@ harness compresses time and documents it:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines import (
     GDBMeterTester,
@@ -33,11 +35,13 @@ from repro.baselines import (
     GQTTester,
     GRevTester,
 )
-from repro.core.runner import CampaignResult, GQSTester
+from repro.core.runner import GQSTester
 from repro.gdb import ALL_ENGINE_NAMES, create_engine, faults_for
 from repro.runtime import (
     CampaignCell,
     CampaignKernel,
+    CampaignResult,
+    CellConfig,
     CellKey,
     EventLog,
     ParallelCampaignRunner,
@@ -51,6 +55,7 @@ __all__ = [
     "TESTER_NAMES",
     "tester_supports",
     "make_tester",
+    "run_cell",
     "run_tool_campaign",
     "campaign_grid_cells",
     "run_campaign_grid",
@@ -65,6 +70,8 @@ DAY_EQUIVALENT_SECONDS = 300.0
 # Gate scale emulating the months-long full campaign of Table 3.
 FULL_CAMPAIGN_GATE_SCALE = 0.01
 FULL_CAMPAIGN_MAX_QUERIES = 3000
+
+_CELL_OPTIONS = frozenset(field.name for field in fields(CellConfig))
 
 TESTER_NAMES = ("GQS", "GDsmith", "GDBMeter", "Gamera", "GQT", "GRev")
 
@@ -124,55 +131,48 @@ def make_tester(
     raise ValueError(f"unknown tester {name!r}")
 
 
-def run_tool_campaign(
-    tester_name: str,
-    engine_name: str,
-    budget_seconds: float = DAY_EQUIVALENT_SECONDS,
-    seed: int = 0,
-    gate_scale: float = 1.0,
-    max_queries: Optional[int] = None,
+def _cell_config(config: Optional[CellConfig],
+                 options: Dict[str, Any]) -> CellConfig:
+    """*config*, or one built from :class:`CellConfig` keyword names with
+    the budget defaulting to :data:`DAY_EQUIVALENT_SECONDS`."""
+    if config is None:
+        return CellConfig(**{"budget_seconds": DAY_EQUIVALENT_SECONDS,
+                             **options})
+    if options:
+        raise TypeError(
+            f"cell option(s) {', '.join(sorted(options))} given with config"
+        )
+    return config
+
+
+def run_cell(
+    cell: CampaignCell,
+    *,
     events: Optional[EventLog] = None,
-    record_coverage: bool = False,
-    record_triage: bool = False,
     bundle_dir: Optional[Union[str, Path]] = None,
     reduce_bundles: bool = False,
-    step_budget: Optional[int] = None,
-    execution_mode: str = "interpreted",
-    adaptive: Optional[str] = None,
-    stateful: Optional[float] = None,
-) -> Optional[CampaignResult]:
-    """Run one tool against one engine through the shared campaign kernel;
-    None when unsupported.
+) -> CampaignResult:
+    """Run one campaign cell through the shared campaign kernel.
 
-    ``adaptive`` swaps the tester's session policy for an
-    :class:`repro.runtime.adapt.AdaptivePolicy` with that strategy
-    (``"epsilon"`` or ``"ucb"``), closing the coverage-guided synthesis
-    feedback loop; the campaign then emits an ``adaptation`` event.
-    ``stateful`` (GQS only) switches on state-aware write-workload
-    synthesis with that write ratio (:mod:`repro.synth.state`).
-
-    ``record_coverage`` / ``record_triage`` switch on the second
-    observability tier (``coverage`` / ``triage`` events in *events*);
-    *bundle_dir* additionally writes one flight-recorder repro bundle per
-    new bug signature, and ``reduce_bundles`` minimizes each bundle in
-    place (``*.min.json``, :mod:`repro.reduce`).  None of these perturbs
-    the campaign itself.  ``execution_mode`` selects the target engine's
-    execution core (``interpreted`` / ``compiled`` / ``dual``,
-    :mod:`repro.engine.plan`); campaign results are identical across
-    modes by the dual-mode contract.
+    Builds the target engine, the tester, the adaptive policy
+    (``config.adaptive``), the flight recorder (one repro bundle per new
+    bug signature into *bundle_dir*, minimized in place with
+    *reduce_bundles*) and the kernel.  With ``config.record_metrics`` the
+    kernel runs under a fresh observability scope.  Inline campaigns and
+    grid workers (:func:`repro.runtime.parallel._run_cell`) both run
+    cells through here; none of the observability options perturbs the
+    campaign's RNG stream.
     """
-    if not tester_supports(tester_name, engine_name):
-        return None
-    engine = create_engine(
-        engine_name, gate_scale=gate_scale, execution_mode=execution_mode
-    )
-    tester = make_tester(
-        tester_name, engine_name, gate_scale=gate_scale, stateful=stateful
-    )
-    if adaptive:
+    config = cell.config
+    engine = create_engine(cell.engine, gate_scale=config.gate_scale,
+                           execution_mode=config.execution_mode)
+    tester = make_tester(cell.tester, cell.engine,
+                         gate_scale=config.gate_scale,
+                         stateful=config.stateful)
+    if config.adaptive:
         from repro.runtime.adapt import attach_adaptive_policy
 
-        attach_adaptive_policy(tester, adaptive)
+        attach_adaptive_policy(tester, config.adaptive)
     recorder = None
     if bundle_dir is not None:
         from repro.obs import FlightRecorder
@@ -180,36 +180,66 @@ def run_tool_campaign(
         recorder = FlightRecorder(bundle_dir, auto_reduce=reduce_bundles)
     kernel = CampaignKernel(
         events=events,
-        record_coverage=record_coverage,
-        record_triage=record_triage,
+        record_coverage=config.record_coverage,
+        record_triage=config.record_triage,
         recorder=recorder,
-        step_budget=step_budget,
+        step_budget=config.step_budget,
     )
-    return kernel.run(
-        tester, engine, budget_seconds, seed=seed, max_queries=max_queries
-    )
+    scope = nullcontext()
+    if config.record_metrics:
+        from repro.obs import observed
+
+        scope = observed()
+    with scope:
+        return kernel.run(tester, engine, config.budget_seconds,
+                          seed=cell.seed, max_queries=config.max_queries)
+
+
+def run_tool_campaign(
+    tester_name: str,
+    engine_name: str,
+    *,
+    seed: int = 0,
+    events: Optional[EventLog] = None,
+    bundle_dir: Optional[Union[str, Path]] = None,
+    reduce_bundles: bool = False,
+    config: Optional[CellConfig] = None,
+    **options: Any,
+) -> Optional[CampaignResult]:
+    """Run one tool against one engine (:func:`run_cell`); None when
+    unsupported.
+
+    The cell options come as *config* or as :class:`CellConfig` keyword
+    names (``budget_seconds``, ``gate_scale``, ``execution_mode``,
+    ``adaptive``, ``stateful``, ...).
+    """
+    config = _cell_config(config, options)
+    if not tester_supports(tester_name, engine_name):
+        return None
+    return run_cell(CampaignCell(tester_name, engine_name, seed, config),
+                    events=events, bundle_dir=bundle_dir,
+                    reduce_bundles=reduce_bundles)
 
 
 def campaign_grid_cells(
     testers: Sequence[str],
     engines: Sequence[str],
     seeds: Sequence[int] = (0,),
-    budget_seconds: float = DAY_EQUIVALENT_SECONDS,
-    gate_scale: float = 1.0,
-    max_queries: Optional[int] = None,
+    *,
     derive_seeds: bool = False,
-    execution_mode: str = "interpreted",
-    adaptive: Optional[str] = None,
-    stateful: Optional[float] = None,
-) -> list:
+    config: Optional[CellConfig] = None,
+    **options: Any,
+) -> List[CampaignCell]:
     """Build the (tester × engine × seed) cell list, skipping unsupported
     pairings (the "-" cells of Tables 4 and 6).
 
     With ``derive_seeds=True`` each cell's RNG seed is decorrelated from the
     base seed via :func:`repro.runtime.derive_cell_seed`; the default keeps
     the base seed verbatim, matching the paper harness's convention of one
-    shared seed per grid.
+    shared seed per grid.  Cell options come as for
+    :func:`run_tool_campaign`.
     """
+    config = _cell_config(config, options)
     cells = []
     for tester in testers:
         for engine in engines:
@@ -221,21 +251,7 @@ def campaign_grid_cells(
                     if derive_seeds
                     else seed
                 )
-                cells.append(
-                    CampaignCell(
-                        tester=tester,
-                        engine=engine,
-                        seed=cell_seed,
-                        budget_seconds=budget_seconds,
-                        gate_scale=gate_scale,
-                        max_queries=max_queries,
-                        execution_mode=execution_mode,
-                        adaptive=adaptive,
-                        stateful=(
-                            stateful if tester == "GQS" else None
-                        ),
-                    )
-                )
+                cells.append(CampaignCell(tester, engine, cell_seed, config))
     return cells
 
 
@@ -243,67 +259,30 @@ def run_campaign_grid(
     testers: Sequence[str],
     engines: Sequence[str],
     seeds: Sequence[int] = (0,),
-    budget_seconds: float = DAY_EQUIVALENT_SECONDS,
-    gate_scale: float = 1.0,
-    max_queries: Optional[int] = None,
+    *,
     derive_seeds: bool = False,
-    jobs: int = 1,
-    events_path: Optional[Union[str, Path]] = None,
     resume_path: Optional[Union[str, Path]] = None,
-    record_metrics: bool = False,
-    record_coverage: bool = False,
-    record_triage: bool = False,
-    bundle_dir: Optional[Union[str, Path]] = None,
-    reduce_bundles: bool = False,
-    cell_timeout: Optional[float] = None,
-    cell_retries: int = 0,
-    retry_backoff: Optional[float] = None,
-    quarantine: bool = True,
-    chaos=None,
-    step_budget: Optional[int] = None,
-    execution_mode: str = "interpreted",
-    adaptive: Optional[str] = None,
-    stateful: Optional[float] = None,
+    config: Optional[CellConfig] = None,
+    **options: Any,
 ) -> Dict[CellKey, CampaignResult]:
     """Run a full campaign grid, optionally parallel and resumable.
 
     Results are keyed ``(tester, engine, seed)`` in grid order and are
     identical for any ``jobs`` value; with ``resume_path`` cells already
-    checkpointed in that event log are merged in without re-running.  With
-    ``record_metrics`` each worker runs its cell under a fresh observability
-    scope and the merged grid snapshot lands in the event log;
-    ``record_coverage`` / ``record_triage`` / ``bundle_dir`` likewise switch
-    on per-cell feature coverage, bug-signature triage, and the flight
-    recorder, and ``reduce_bundles`` minimizes every recorded bundle in
-    place (all RNG-stream invariant).
-
-    Robustness (:mod:`repro.runtime.supervisor`): ``cell_timeout`` hard-
-    terminates hung cells, ``cell_retries``/``retry_backoff`` retry failed
-    cells deterministically, ``quarantine`` lets the grid complete with
-    explicit holes after exhaustion, ``chaos`` injects deterministic
-    harness faults, and ``step_budget`` caps evaluation steps per
-    judgement (blown budgets surface as ``harness_error`` events).
+    checkpointed in that event log are merged in without re-running.
+    Cell options come as for :func:`run_tool_campaign`; every other
+    keyword is a :class:`repro.runtime.ParallelCampaignRunner` argument —
+    ``jobs``, ``events_path``, the flight recorder's ``bundle_dir`` and
+    ``reduce_bundles``, and the supervisor's ``cell_timeout``,
+    ``cell_retries``, ``retry_backoff``, ``quarantine`` and ``chaos``
+    (:mod:`repro.runtime.supervisor`).
     """
-    cells = campaign_grid_cells(
-        testers,
-        engines,
-        seeds=seeds,
-        budget_seconds=budget_seconds,
-        gate_scale=gate_scale,
-        max_queries=max_queries,
-        derive_seeds=derive_seeds,
-        execution_mode=execution_mode,
-        adaptive=adaptive,
-        stateful=stateful,
-    )
-    runner = ParallelCampaignRunner(
-        jobs=jobs, events_path=events_path, record_metrics=record_metrics,
-        record_coverage=record_coverage, record_triage=record_triage,
-        bundle_dir=bundle_dir, reduce_bundles=reduce_bundles,
-        cell_timeout=cell_timeout, cell_retries=cell_retries,
-        retry_backoff=retry_backoff, quarantine=quarantine, chaos=chaos,
-        step_budget=step_budget,
-    )
+    cell_options = {name: options.pop(name) for name in list(options)
+                    if name in _CELL_OPTIONS}
+    cells = campaign_grid_cells(testers, engines, seeds,
+                                derive_seeds=derive_seeds, config=config,
+                                **cell_options)
+    runner = ParallelCampaignRunner(**options)
     return runner.run(cells, resume_path=resume_path)
 
 

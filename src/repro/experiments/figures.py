@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.runner import CampaignResult
+from repro.runtime.results import CampaignResult
 from repro.experiments.tables import run_full_gqs_campaigns
 from repro.gdb import DIALECTS
 

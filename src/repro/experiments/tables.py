@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import GDBMeterTester, GDsmithTester, GRevTester
 from repro.baselines.common import RandomQueryGenerator
-from repro.core.runner import CampaignResult
 from repro.cypher.analysis import analyze
 from repro.cypher.parser import parse_query
 from repro.cypher.printer import print_query
@@ -27,7 +26,12 @@ from repro.experiments.campaign import (
 from repro.core import QuerySynthesizer
 from repro.gdb import DIALECTS, create_engine, faults_for
 from repro.graph.generator import GraphGenerator
-from repro.runtime import CampaignCell, ParallelCampaignRunner
+from repro.runtime import (
+    CampaignCell,
+    CampaignResult,
+    CellConfig,
+    ParallelCampaignRunner,
+)
 
 __all__ = [
     "table2",
@@ -78,12 +82,10 @@ def run_full_gqs_campaigns(
     keeps its historical per-engine seed (``seed + engine_index``) so the
     detected-fault record is independent of the worker count.
     """
+    config = CellConfig(float("inf"), gate_scale=gate_scale,
+                        max_queries=max_queries)
     cells = [
-        CampaignCell(
-            tester="GQS", engine=name, seed=seed + index,
-            budget_seconds=float("inf"), gate_scale=gate_scale,
-            max_queries=max_queries,
-        )
+        CampaignCell("GQS", name, seed + index, config)
         for index, name in enumerate(_PAPER_ENGINE_ORDER)
     ]
     grid = ParallelCampaignRunner(jobs=jobs).run(cells)

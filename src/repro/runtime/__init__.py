@@ -25,6 +25,7 @@ from repro.runtime.events import EventLog
 from repro.runtime.kernel import CampaignKernel
 from repro.runtime.parallel import (
     CampaignCell,
+    CellConfig,
     CellKey,
     ParallelCampaignRunner,
     derive_cell_seed,
@@ -48,6 +49,7 @@ __all__ = [
     "CampaignResult",
     "CampaignKernel",
     "CampaignCell",
+    "CellConfig",
     "FeatureArm",
     "WeightProfile",
     "attach_adaptive_policy",

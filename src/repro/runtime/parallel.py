@@ -13,9 +13,9 @@ module fans the grid out over a ``multiprocessing`` pool, supervised by
   :func:`derive_cell_seed` (SHA-256 over the cell identity — never
   Python's salted ``hash``), stable across worker counts, platforms and
   runs.
-* **Worker safety** — workers receive only primitives (names and numbers)
-  and rebuild the engine/tester inside the child via
-  :class:`repro.gdb.engines.EngineSpec`, so nothing unpicklable crosses the
+* **Worker safety** — workers receive only primitives (names, numbers
+  and the cell's :class:`CellConfig` as a dict) and rebuild the
+  engine/tester inside the child, so nothing unpicklable crosses the
   process boundary.
 * **Robustness** — the supervisor sandboxes every cell: worker exceptions
   become ``cell_failed`` events, hangs are cut by the ``cell_timeout``
@@ -32,13 +32,15 @@ module fans the grid out over a ``multiprocessing`` pool, supervised by
 from __future__ import annotations
 
 import hashlib
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import (
     Any,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -56,6 +58,7 @@ from repro.runtime.supervisor import (
 
 __all__ = [
     "CampaignCell",
+    "CellConfig",
     "CellKey",
     "ParallelCampaignRunner",
     "derive_cell_seed",
@@ -79,6 +82,99 @@ def derive_cell_seed(tester: str, engine: str, seed: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _is_number(value: Any) -> bool:
+    """A finite int or float; JSON ``true``/``false`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+@dataclass(frozen=True)
+class CellConfig:
+    """Every option one campaign cell runs with, beyond its grid key.
+
+    The same value travels from the CLI, the keyword entry points of
+    :mod:`repro.experiments.campaign` and service job specs to the worker
+    (:func:`_run_cell`), so a new cell option is declared here once.
+    Keyword construction trusts its caller; :meth:`from_dict` is the
+    validator for everything that arrives from outside the program.
+    """
+
+    budget_seconds: float
+    gate_scale: float = 1.0
+    max_queries: Optional[int] = None
+    execution_mode: str = "interpreted"
+    # Adaptive-synthesis strategy (None = blind campaign).
+    adaptive: Optional[str] = None
+    # Stateful write-workload ratio (None = read-only synthesis; a float
+    # selects the state-aware tester, repro.synth.state).  GQS only.
+    stateful: Optional[float] = None
+    step_budget: Optional[int] = None
+    record_metrics: bool = False
+    record_coverage: bool = False
+    record_triage: bool = False
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "CellConfig":
+        """Validate and build a config from a wire/journal dict.
+
+        Raises :class:`ValueError` on an unknown key or a value of the
+        wrong type or range, so a malformed submission is refused at
+        admission instead of crashing a worker later.
+        """
+        from repro.gdb.engines import EXECUTION_MODES
+        from repro.runtime.adapt import ADAPTIVE_STRATEGIES
+
+        if not isinstance(data, Mapping):
+            raise ValueError("cell options must be a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown option(s): {', '.join(unknown)}")
+        if "budget_seconds" not in data:
+            raise ValueError("budget_seconds is required")
+        values = {**defaults, **data}
+
+        def require(ok: bool, message: str) -> None:
+            if not ok:
+                raise ValueError(message)
+
+        for name in ("budget_seconds", "gate_scale"):
+            require(_is_number(values[name]) and values[name] > 0,
+                    f"{name} must be a positive number")
+        for name in ("max_queries", "step_budget"):
+            require(values[name] is None or _is_count(values[name]),
+                    f"{name} must be a positive integer or null")
+        require(values["execution_mode"] in EXECUTION_MODES,
+                f"execution_mode must be one of {EXECUTION_MODES}")
+        require(values["adaptive"] is None
+                or values["adaptive"] in ADAPTIVE_STRATEGIES,
+                f"adaptive must be one of {ADAPTIVE_STRATEGIES} or null")
+        stateful = values["stateful"]
+        require(stateful is None
+                or (_is_number(stateful) and 0.0 <= stateful <= 1.0),
+                "stateful must be a ratio in [0, 1] or null")
+        for name in ("record_metrics", "record_coverage", "record_triage"):
+            require(isinstance(values[name], bool),
+                    f"{name} must be true or false")
+        values["budget_seconds"] = float(values["budget_seconds"])
+        values["gate_scale"] = float(values["gate_scale"])
+        if stateful is not None:
+            values["stateful"] = float(stateful)
+        return cls(**values)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON-ready form (round-trips via :meth:`from_dict`)."""
+        return asdict(self)
+
+
 @dataclass(frozen=True)
 class CampaignCell:
     """One (tester, engine, seed) cell of a campaign grid."""
@@ -86,89 +182,61 @@ class CampaignCell:
     tester: str
     engine: str
     seed: int
-    budget_seconds: float
-    gate_scale: float = 1.0
-    max_queries: Optional[int] = None
-    execution_mode: str = "interpreted"
-    # Adaptive-synthesis strategy for this cell (None = blind campaign).
-    adaptive: Optional[str] = None
-    # Stateful write-workload ratio (None = read-only synthesis; a float
-    # selects the state-aware tester, repro.synth.state).
-    stateful: Optional[float] = None
+    config: CellConfig
 
     @property
     def key(self) -> CellKey:
         return (self.tester, self.engine, self.seed)
 
+    def worker_spec(
+        self,
+        record_queries: bool = False,
+        bundle_dir: Optional[Union[str, Path]] = None,
+        reduce_bundles: bool = False,
+    ) -> Dict[str, Any]:
+        """The primitives-only spec :func:`_run_cell` runs this cell from.
+
+        The local outputs (*record_queries*, *bundle_dir*,
+        *reduce_bundles*) are the runner's, never the config's: a service
+        client must not choose paths on the server.
+        """
+        return {
+            "tester": self.tester,
+            "engine": self.engine,
+            "seed": self.seed,
+            "config": self.config.to_dict(),
+            "record_queries": record_queries,
+            "bundle_dir": str(bundle_dir) if bundle_dir else None,
+            "reduce_bundles": reduce_bundles,
+        }
+
 
 def _run_cell(spec: Dict[str, Any]) -> Tuple[Dict, List[Dict]]:
     """Worker entry point: run one grid cell, return (campaign, events).
 
-    *spec* is a primitives-only dict (see ``ParallelCampaignRunner._task``)
+    *spec* is a primitives-only dict (:meth:`CampaignCell.worker_spec`)
     so it crosses process boundaries under any start method.  Imports are
     local so the module stays import-cycle-free (the runtime layer must not
     statically depend on the experiment harness) and so ``spawn``-based
     pools re-import only what they need.
 
     With ``record_metrics`` the cell runs under a *fresh* per-cell
-    observability scope (:func:`repro.obs.observed`), so each cell's
-    ``metrics`` event snapshot covers exactly that cell no matter how the
-    pool reuses worker processes — the invariant the deterministic barrier
-    merge depends on.
+    observability scope (see :func:`repro.experiments.campaign.run_cell`),
+    so each cell's ``metrics`` event snapshot covers exactly that cell no
+    matter how the pool reuses worker processes — the invariant the
+    deterministic barrier merge depends on.
     """
     from repro.core.reporting import campaign_to_dict
-    from repro.experiments.campaign import make_tester
-    from repro.gdb.engines import EngineSpec
-    from repro.runtime.kernel import CampaignKernel
+    from repro.experiments.campaign import run_cell
 
-    engine_name = spec["engine"]
-    gate_scale = spec["gate_scale"]
-    engine = EngineSpec(
-        engine_name,
-        gate_scale=gate_scale,
-        execution_mode=spec.get("execution_mode", "interpreted"),
-    ).create()
-    tester = make_tester(spec["tester"], engine_name,
-                         gate_scale=gate_scale,
-                         stateful=spec.get("stateful"))
-    if spec.get("adaptive"):
-        from repro.runtime.adapt import attach_adaptive_policy
-
-        attach_adaptive_policy(tester, spec["adaptive"])
+    cell = CampaignCell(spec["tester"], spec["engine"], spec["seed"],
+                        CellConfig(**spec["config"]))
     log = EventLog(record_queries=spec["record_queries"],
-                   record_spans=spec["record_metrics"])
-
-    recorder = None
-    if spec.get("bundle_dir") is not None:
-        # Bundle filenames embed the cell identity, so workers sharing one
-        # directory never contend for a file.
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder(spec["bundle_dir"],
-                                  auto_reduce=spec["reduce_bundles"])
-
-    def run() -> "CampaignResult":
-        return CampaignKernel(
-            events=log,
-            record_coverage=spec["record_coverage"],
-            record_triage=spec["record_triage"],
-            recorder=recorder,
-            step_budget=spec.get("step_budget"),
-        ).run(
-            tester,
-            engine,
-            spec["budget_seconds"],
-            seed=spec["seed"],
-            max_queries=spec["max_queries"],
-        )
-
-    if spec["record_metrics"]:
-        from repro.obs import observed
-
-        with observed():
-            result = run()
-    else:
-        result = run()
+                   record_spans=cell.config.record_metrics)
+    # Bundle filenames embed the cell identity, so workers sharing one
+    # directory never contend for a file.
+    result = run_cell(cell, events=log, bundle_dir=spec["bundle_dir"],
+                      reduce_bundles=spec["reduce_bundles"])
     return campaign_to_dict(result), log.events
 
 
@@ -186,9 +254,6 @@ class ParallelCampaignRunner:
         jobs: int = 1,
         events_path: Optional[Union[str, Path]] = None,
         record_queries: bool = False,
-        record_metrics: bool = False,
-        record_coverage: bool = False,
-        record_triage: bool = False,
         bundle_dir: Optional[Union[str, Path]] = None,
         reduce_bundles: bool = False,
         cell_timeout: Optional[float] = None,
@@ -196,14 +261,10 @@ class ParallelCampaignRunner:
         retry_backoff: Optional[float] = None,
         quarantine: bool = True,
         chaos: Optional[Union[ChaosConfig, str]] = None,
-        step_budget: Optional[int] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.events_path = Path(events_path) if events_path else None
         self.record_queries = record_queries
-        self.record_metrics = record_metrics
-        self.record_coverage = record_coverage
-        self.record_triage = record_triage
         self.bundle_dir = Path(bundle_dir) if bundle_dir else None
         self.reduce_bundles = reduce_bundles
         supervisor_kwargs: Dict[str, Any] = {
@@ -216,7 +277,6 @@ class ParallelCampaignRunner:
         if retry_backoff is not None:
             supervisor_kwargs["retry_backoff"] = retry_backoff
         self.supervisor = CellSupervisor(**supervisor_kwargs)
-        self.step_budget = step_budget
 
     def run(
         self,
@@ -270,8 +330,8 @@ class ParallelCampaignRunner:
         pending = [cell for cell in cells if cell.key not in done]
         stats = {"failed": 0, "retried": 0, "timeouts": 0, "crashes": 0,
                  "quarantined": 0, "truncated": 0}
-        with EventLog(self.events_path,
-                      record_spans=self.record_metrics) as log:
+        record_metrics = any(cell.config.record_metrics for cell in cells)
+        with EventLog(self.events_path, record_spans=record_metrics) as log:
             # ``grid`` lists every (tester, engine, seed) cell up front so a
             # live follower (``repro watch``) can show pending cells before
             # any worker reports; workers buffer their events until cell
@@ -291,7 +351,8 @@ class ParallelCampaignRunner:
                     continue
                 self._on_outcome(log, item, by_key[item.key], done,
                                  snapshots, stats, campaign_from_dict)
-            self._emit_barriers(log, cells, snapshots, stats)
+            self._emit_barriers(log, cells, snapshots, stats,
+                                record_metrics)
             log.emit(
                 "grid_end",
                 cells=len(cells),
@@ -410,6 +471,7 @@ class ParallelCampaignRunner:
         cells: Sequence[CampaignCell],
         snapshots: Dict[str, Dict[CellKey, List[Dict]]],
         stats: Dict[str, int],
+        record_metrics: bool,
     ) -> None:
         """Grid-scope barrier merges, folded in grid order (byte-stable)."""
         ordered: Dict[str, List[Dict]] = {
@@ -417,7 +479,7 @@ class ParallelCampaignRunner:
                    for snap in snapshots[kind].get(cell.key, ())]
             for kind in _SNAPSHOT_KINDS
         }
-        if self.record_metrics and ordered["metrics"]:
+        if record_metrics and ordered["metrics"]:
             # Barrier merge: per-worker snapshots fold element-wise
             # (fixed bucket edges), so the result is independent of
             # worker count and completion order.
@@ -503,23 +565,6 @@ class ParallelCampaignRunner:
         """The supervisor task for *cell*: key + primitives-only spec."""
         return {
             "key": cell.key,
-            "spec": {
-                "tester": cell.tester,
-                "engine": cell.engine,
-                "seed": cell.seed,
-                "budget_seconds": cell.budget_seconds,
-                "gate_scale": cell.gate_scale,
-                "max_queries": cell.max_queries,
-                "execution_mode": cell.execution_mode,
-                "adaptive": cell.adaptive,
-                "stateful": cell.stateful,
-                "record_queries": self.record_queries,
-                "record_metrics": self.record_metrics,
-                "record_coverage": self.record_coverage,
-                "record_triage": self.record_triage,
-                "bundle_dir": (str(self.bundle_dir)
-                               if self.bundle_dir else None),
-                "reduce_bundles": self.reduce_bundles,
-                "step_budget": self.step_budget,
-            },
+            "spec": cell.worker_spec(self.record_queries, self.bundle_dir,
+                                     self.reduce_bundles),
         }

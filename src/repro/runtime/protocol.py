@@ -21,7 +21,6 @@ deduplication, trigger-record collection, and the event stream.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -70,25 +69,10 @@ class SessionPolicy:
     #: Strategy label surfaced in events/snapshots (None when blind).
     strategy: Optional[str] = None
 
-    def __init__(self, *args: Any, restart_per_graph: bool = False):
-        if args:
-            warnings.warn(
-                "positional SessionPolicy construction is deprecated; pass "
-                "restart_per_graph by keyword or use "
-                "SessionPolicy.restart_each_graph()/SessionPolicy."
-                "long_session()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 1:
-                raise TypeError(
-                    "SessionPolicy() takes at most one positional argument "
-                    f"({len(args)} given)"
-                )
-            restart_per_graph = args[0]
+    def __init__(self, *, restart_per_graph: bool = False):
         self.restart_per_graph = bool(restart_per_graph)
 
-    # -- named constructors (the migration target for testers) ------------
+    # -- named constructors ------------------------------------------------
 
     @classmethod
     def restart_each_graph(cls) -> "SessionPolicy":

@@ -1,9 +1,7 @@
 """Campaign outcome types shared by every tester.
 
-Historically these lived in :mod:`repro.core.runner`; they moved here when
-the campaign loop was unified under :class:`repro.runtime.CampaignKernel`
-so that the runtime layer does not depend on the GQS-specific synthesis
-code.  ``repro.core.runner`` re-exports both names for compatibility.
+They live in the runtime layer so that it does not depend on the
+GQS-specific synthesis code.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ class CampaignScheduler:
             job = _Job(id=job_id, spec=spec)
             for cell_obj in cells:
                 cell = _Cell(job=job_id, key=cell_obj.key,
-                             spec=spec.worker_spec(cell_obj))
+                             spec=cell_obj.worker_spec())
                 done = record["done"].get(cell.key)
                 if done is not None:
                     cell.status = "done"
@@ -332,7 +332,7 @@ class CampaignScheduler:
         job = _Job(id=job_id, spec=spec)
         for cell_obj in cells:
             cell = _Cell(job=job_id, key=cell_obj.key,
-                         spec=spec.worker_spec(cell_obj))
+                         spec=cell_obj.worker_spec())
             job.cells.append(cell)
             self._pending.append(cell)
         self._jobs[job_id] = job

@@ -1,59 +1,87 @@
 """Campaign job specs: the unit of admission for the campaign service.
 
 A client submits one :class:`JobSpec` — a (testers × engines × seeds)
-grid description plus the campaign knobs the CLI already exposes — and
-the scheduler decomposes it into :class:`repro.runtime.CampaignCell`\\ s
-through the exact same :func:`repro.experiments.campaign.campaign_grid_cells`
-path the inline runner uses.  That sharing is the crash-recovery
-byte-identity contract in miniature: a job re-derived from its journaled
-spec produces the *same* cells with the *same* SHA-256 seeds, so a
-restarted service re-runs exactly the work the dead one had left.
+grid description plus one :class:`repro.runtime.CellConfig` of campaign
+options — and the scheduler decomposes it into
+:class:`repro.runtime.CampaignCell`\\ s through the exact same
+:func:`repro.experiments.campaign.campaign_grid_cells` path the inline
+runner uses.  That sharing is the crash-recovery byte-identity contract in
+miniature: a job re-derived from its journaled spec produces the *same*
+cells with the *same* SHA-256 seeds, so a restarted service re-runs
+exactly the work the dead one had left.
 
-Specs are plain JSON dicts on the wire; :meth:`JobSpec.from_dict`
-validates eagerly (unknown keys, unknown testers/engines, bad modes) so a
+Specs are flat JSON dicts on the wire: the grid keys beside the
+:class:`~repro.runtime.CellConfig` fields.  :meth:`JobSpec.from_dict`
+validates the grid keys and hands the rest to
+:meth:`CellConfig.from_dict`; both raise :class:`ValueError`, so a
 malformed submission is a 400 at admission, never a worker crash later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.runtime.parallel import CellConfig
 
 __all__ = ["JobSpec"]
 
-_EXECUTION_MODES = ("interpreted", "compiled", "dual")
-_ADAPTIVE_STRATEGIES = ("epsilon", "ucb")
+_GRID_KEYS = ("testers", "engines", "seeds", "derive_seeds")
+#: Per-cell budget of a spec that names none.
+_DEFAULT_BUDGET_SECONDS = 30.0
 
 
-def _tuple_of_str(value: Any, name: str) -> Tuple[str, ...]:
+def _tuple_of_str(value: Any, name: str, allowed: Iterable[str]
+                  ) -> Tuple[str, ...]:
     if isinstance(value, str):
         value = [value]
     if (not isinstance(value, (list, tuple)) or not value
             or not all(isinstance(item, str) for item in value)):
         raise ValueError(f"{name} must be a non-empty list of strings")
+    for item in value:
+        if item not in allowed:
+            raise ValueError(f"unknown {name[:-1]} {item!r}")
     return tuple(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JobSpec:
-    """One submitted campaign grid: what to run, with which knobs."""
+    """One submitted campaign grid: what to run, with which options.
 
-    testers: Tuple[str, ...] = ("GQS",)
-    engines: Tuple[str, ...] = ("falkordb",)
-    seeds: Tuple[int, ...] = (0,)
-    budget_seconds: float = 30.0
-    gate_scale: float = 1.0
-    max_queries: Optional[int] = None
-    derive_seeds: bool = False
-    execution_mode: str = "interpreted"
-    adaptive: Optional[str] = None
-    stateful: Optional[float] = None
-    step_budget: Optional[int] = None
-    record_metrics: bool = False
-    record_coverage: bool = False
-    record_triage: bool = False
-    # Wire extras tolerated but not interpreted (forward compatibility).
-    extra: Tuple[Tuple[str, Any], ...] = field(default=(), compare=False)
+    Constructed either with a *config* or with the flat
+    :class:`~repro.runtime.CellConfig` keyword names (``budget_seconds``
+    defaulting to 30 s), exactly as the wire dict spells them.
+    """
+
+    testers: Tuple[str, ...]
+    engines: Tuple[str, ...]
+    seeds: Tuple[int, ...]
+    derive_seeds: bool
+    config: CellConfig
+
+    def __init__(
+        self,
+        testers: Iterable[str] = ("GQS",),
+        engines: Iterable[str] = ("falkordb",),
+        seeds: Iterable[int] = (0,),
+        derive_seeds: bool = False,
+        config: Optional[CellConfig] = None,
+        **options: Any,
+    ):
+        if config is None:
+            config = CellConfig(**{
+                "budget_seconds": _DEFAULT_BUDGET_SECONDS, **options,
+            })
+        elif options:
+            raise TypeError(
+                f"option(s) {', '.join(sorted(options))} given with config"
+            )
+        for name, value in (("testers", tuple(testers)),
+                            ("engines", tuple(engines)),
+                            ("seeds", tuple(seeds)),
+                            ("derive_seeds", derive_seeds),
+                            ("config", config)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
@@ -63,23 +91,15 @@ class JobSpec:
 
         if not isinstance(data, dict):
             raise ValueError("job spec must be a JSON object")
-        known = {
-            "testers", "engines", "seeds", "budget_seconds", "gate_scale",
-            "max_queries", "derive_seeds", "execution_mode", "adaptive",
-            "stateful", "step_budget", "record_metrics", "record_coverage",
-            "record_triage",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown job spec key(s): {', '.join(unknown)}")
-        testers = _tuple_of_str(data.get("testers", ("GQS",)), "testers")
-        engines = _tuple_of_str(data.get("engines", ("falkordb",)), "engines")
-        for tester in testers:
-            if tester not in TESTER_NAMES:
-                raise ValueError(f"unknown tester {tester!r}")
-        for engine in engines:
-            if engine not in ALL_ENGINE_NAMES:
-                raise ValueError(f"unknown engine {engine!r}")
+        config = CellConfig.from_dict({
+            "budget_seconds": _DEFAULT_BUDGET_SECONDS,
+            **{key: value for key, value in data.items()
+               if key not in _GRID_KEYS},
+        })
+        testers = _tuple_of_str(data.get("testers", ("GQS",)), "testers",
+                                TESTER_NAMES)
+        engines = _tuple_of_str(data.get("engines", ("falkordb",)),
+                                "engines", ALL_ENGINE_NAMES)
         seeds = data.get("seeds", (0,))
         if isinstance(seeds, int):
             seeds = [seeds]
@@ -87,40 +107,10 @@ class JobSpec:
                 or not all(isinstance(s, int) and not isinstance(s, bool)
                            for s in seeds)):
             raise ValueError("seeds must be a non-empty list of integers")
-        budget = data.get("budget_seconds", 30.0)
-        if not isinstance(budget, (int, float)) or budget <= 0:
-            raise ValueError("budget_seconds must be a positive number")
-        mode = data.get("execution_mode", "interpreted")
-        if mode not in _EXECUTION_MODES:
-            raise ValueError(
-                f"execution_mode must be one of {_EXECUTION_MODES}"
-            )
-        adaptive = data.get("adaptive")
-        if adaptive is not None and adaptive not in _ADAPTIVE_STRATEGIES:
-            raise ValueError(
-                f"adaptive must be one of {_ADAPTIVE_STRATEGIES} or null"
-            )
-        stateful = data.get("stateful")
-        if stateful is not None and not (
-            isinstance(stateful, (int, float)) and 0.0 <= stateful <= 1.0
-        ):
-            raise ValueError("stateful must be a ratio in [0, 1] or null")
-        return cls(
-            testers=testers,
-            engines=engines,
-            seeds=tuple(seeds),
-            budget_seconds=float(budget),
-            gate_scale=float(data.get("gate_scale", 1.0)),
-            max_queries=data.get("max_queries"),
-            derive_seeds=bool(data.get("derive_seeds", False)),
-            execution_mode=mode,
-            adaptive=adaptive,
-            stateful=None if stateful is None else float(stateful),
-            step_budget=data.get("step_budget"),
-            record_metrics=bool(data.get("record_metrics", False)),
-            record_coverage=bool(data.get("record_coverage", False)),
-            record_triage=bool(data.get("record_triage", False)),
-        )
+        derive_seeds = data.get("derive_seeds", False)
+        if not isinstance(derive_seeds, bool):
+            raise ValueError("derive_seeds must be true or false")
+        return cls(testers, engines, seeds, derive_seeds, config)
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-ready journal/wire form (round-trips via from_dict)."""
@@ -128,17 +118,8 @@ class JobSpec:
             "testers": list(self.testers),
             "engines": list(self.engines),
             "seeds": list(self.seeds),
-            "budget_seconds": self.budget_seconds,
-            "gate_scale": self.gate_scale,
-            "max_queries": self.max_queries,
             "derive_seeds": self.derive_seeds,
-            "execution_mode": self.execution_mode,
-            "adaptive": self.adaptive,
-            "stateful": self.stateful,
-            "step_budget": self.step_budget,
-            "record_metrics": self.record_metrics,
-            "record_coverage": self.record_coverage,
-            "record_triage": self.record_triage,
+            **self.config.to_dict(),
         }
 
     def cells(self) -> List[Any]:
@@ -151,46 +132,11 @@ class JobSpec:
         """
         from repro.experiments.campaign import campaign_grid_cells
 
-        cells = campaign_grid_cells(
-            self.testers,
-            self.engines,
-            seeds=self.seeds,
-            budget_seconds=self.budget_seconds,
-            gate_scale=self.gate_scale,
-            max_queries=self.max_queries,
-            derive_seeds=self.derive_seeds,
-            execution_mode=self.execution_mode,
-            adaptive=self.adaptive,
-            stateful=self.stateful,
-        )
+        cells = campaign_grid_cells(self.testers, self.engines, self.seeds,
+                                    derive_seeds=self.derive_seeds,
+                                    config=self.config)
         if not cells:
             raise ValueError(
                 "job decomposes into no supported (tester, engine) cells"
             )
         return cells
-
-    def worker_spec(self, cell) -> Dict[str, Any]:
-        """The primitives-only worker spec for one of this job's cells.
-
-        Mirrors ``ParallelCampaignRunner._task`` — the same keys feed the
-        same ``repro.runtime.parallel._run_cell`` entry point, which is
-        what makes service results byte-identical to inline runs.
-        """
-        return {
-            "tester": cell.tester,
-            "engine": cell.engine,
-            "seed": cell.seed,
-            "budget_seconds": cell.budget_seconds,
-            "gate_scale": cell.gate_scale,
-            "max_queries": cell.max_queries,
-            "execution_mode": cell.execution_mode,
-            "adaptive": cell.adaptive,
-            "stateful": cell.stateful,
-            "record_queries": False,
-            "record_metrics": self.record_metrics,
-            "record_coverage": self.record_coverage,
-            "record_triage": self.record_triage,
-            "bundle_dir": None,
-            "reduce_bundles": False,
-            "step_budget": self.step_budget,
-        }

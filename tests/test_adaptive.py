@@ -109,13 +109,8 @@ class TestPolicyAPI:
             assert SessionPolicy(restart_per_graph=True).restart_per_graph
             assert not SessionPolicy.long_session().restart_per_graph
             assert SessionPolicy.restart_each_graph().restart_per_graph
-
-    def test_positional_construction_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            policy = SessionPolicy(True)
-        assert policy.restart_per_graph is True
-        with pytest.raises(TypeError), pytest.warns(DeprecationWarning):
-            SessionPolicy(True, False)
+        with pytest.raises(TypeError):
+            SessionPolicy(True)  # restart_per_graph is keyword-only
 
     def test_policy_equality_and_hash(self):
         assert SessionPolicy.long_session() == SessionPolicy.long_session()

@@ -298,7 +298,7 @@ class TestDetection:
         engine.load_graph(graph, None, restart=False)
         tester = GDBMeterTester()
         rng = random.Random(0)
-        from repro.core.runner import CampaignResult
+        from repro.runtime.results import CampaignResult
 
         scratch = CampaignResult("GDBMeter", "falkordb")
         found_crash = False

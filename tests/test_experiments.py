@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.runner import CampaignResult
+from repro.runtime.results import CampaignResult
 from repro.experiments import (
     figure10,
     figure10_throughput,

@@ -107,11 +107,3 @@ class TestAnalysis:
     def test_depth_counts_body(self):
         expr = parse_expression("[x IN [1] | abs(x + 1)]")
         assert expr.depth() >= 4
-
-
-class TestGremlin:
-    def test_unsupported(self):
-        from repro.cypher.gremlin import UnsupportedForGremlin, translate_query
-
-        with pytest.raises(UnsupportedForGremlin):
-            translate_query(parse_query("MATCH (n) RETURN [x IN [1] | x] AS v"))

@@ -295,12 +295,16 @@ class TestModeThreading:
         assert engine.spec()["execution_mode"] == "dual"
 
     def test_campaign_cell_carries_mode_into_worker_spec(self):
-        from repro.runtime import CampaignCell, ParallelCampaignRunner
+        from repro.runtime import (
+            CampaignCell,
+            CellConfig,
+            ParallelCampaignRunner,
+        )
 
-        cell = CampaignCell("GQS", "falkordb", 0, 1.0,
-                            execution_mode="compiled")
+        cell = CampaignCell("GQS", "falkordb", 0,
+                            CellConfig(1.0, execution_mode="compiled"))
         task = ParallelCampaignRunner(jobs=1)._task(cell)
-        assert task["spec"]["execution_mode"] == "compiled"
+        assert task["spec"]["config"]["execution_mode"] == "compiled"
 
     def test_cli_exposes_engine_mode(self):
         from repro.cli import build_parser

@@ -15,7 +15,8 @@ from repro.core.reporting import (
     save_campaign,
     save_event_stream,
 )
-from repro.core.runner import BugReport, CampaignResult, GQSTester
+from repro.core.runner import GQSTester
+from repro.runtime.results import BugReport, CampaignResult
 from repro.gdb import create_engine
 
 
@@ -83,11 +84,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "expected result set" in out
         assert "RETURN" in out
-
-    def test_synthesize_with_gremlin(self, capsys):
-        assert main(["synthesize", "--seed", "3", "--gremlin"]) == 0
-        out = capsys.readouterr().out
-        assert "Gremlin translation" in out
 
     def test_campaign_command_with_export(self, tmp_path, capsys):
         out_file = tmp_path / "result.json"
@@ -195,11 +191,14 @@ class TestEventStream:
 
     def test_resume_merges_identical_campaign(self, campaign, tmp_path):
         """campaign -> JSONL checkpoint -> resume -> identical result."""
-        from repro.runtime import CampaignCell, ParallelCampaignRunner
+        from repro.runtime import (
+            CampaignCell,
+            CellConfig,
+            ParallelCampaignRunner,
+        )
 
         path = tmp_path / "events.jsonl"
         save_event_stream(self.events(campaign), path)
-        cell = CampaignCell("GQS", "falkordb", 0, budget_seconds=20.0,
-                            gate_scale=0.05)
+        cell = CampaignCell("GQS", "falkordb", 0, CellConfig(20.0, gate_scale=0.05))
         results = ParallelCampaignRunner(jobs=1).run([cell], resume_path=path)
         assert campaign_to_dict(results[cell.key]) == campaign_to_dict(campaign)

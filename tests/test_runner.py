@@ -1,7 +1,8 @@
 """Tests for the GQS campaign runner."""
 
 
-from repro.core.runner import BugReport, CampaignResult, GQSTester, synthesizer_config_for
+from repro.core.runner import GQSTester, synthesizer_config_for
+from repro.runtime.results import BugReport, CampaignResult
 from repro.gdb import ReferenceGDB, create_engine
 
 

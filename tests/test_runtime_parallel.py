@@ -15,7 +15,12 @@ from repro.core.reporting import (
     load_event_stream,
 )
 from repro.experiments.campaign import run_campaign_grid
-from repro.runtime import CampaignCell, ParallelCampaignRunner, derive_cell_seed
+from repro.runtime import (
+    CampaignCell,
+    CellConfig,
+    ParallelCampaignRunner,
+    derive_cell_seed,
+)
 
 # A small but non-trivial grid: two testers, one engine, ~6 simulated
 # seconds each — enough to run hundreds of queries and detect faults.
@@ -26,7 +31,7 @@ BUDGET = 6.0
 
 def small_cells():
     return [
-        CampaignCell(tester, ENGINE, 0, BUDGET, gate_scale=0.05)
+        CampaignCell(tester, ENGINE, 0, CellConfig(BUDGET, gate_scale=0.05))
         for tester in TESTERS
     ]
 

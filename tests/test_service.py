@@ -48,6 +48,27 @@ ENGINE = "falkordb"
 FAST = dict(lease_seconds=60.0, heartbeat_seconds=0.2, poll_interval=0.02)
 
 
+#: Job specs admission must refuse with ValueError (HTTP 400).
+MALFORMED = [
+    {"nope": 1},
+    {"testers": []},
+    {"testers": ["NotATester"]},
+    {"engines": ["NotAnEngine"]},
+    {"seeds": []},
+    {"seeds": [True]},
+    {"budget_seconds": 0},
+    {"execution_mode": "quantum"},
+    {"adaptive": "greedy"},
+    {"stateful": 1.5},
+    {"max_queries": "5"},
+    {"step_budget": "x"},
+    {"gate_scale": [1]},
+    {"record_metrics": "false"},
+    {"derive_seeds": "no"},
+    {"budget_seconds": True},
+]
+
+
 def spec_dict(**overrides):
     base = {"testers": ["GQS"], "engines": [ENGINE], "seeds": [0],
             "budget_seconds": 3.0}
@@ -105,21 +126,19 @@ class TestJobSpec:
         ))
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
-    @pytest.mark.parametrize("bad", [
-        {"nope": 1},
-        {"testers": []},
-        {"testers": ["NotATester"]},
-        {"engines": ["NotAnEngine"]},
-        {"seeds": []},
-        {"seeds": [True]},
-        {"budget_seconds": 0},
-        {"execution_mode": "quantum"},
-        {"adaptive": "greedy"},
-        {"stateful": 1.5},
-    ])
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             JobSpec.from_dict(spec_dict(**bad))
+
+    def test_flat_keywords_build_the_wire_config(self):
+        spec = JobSpec(testers=("GQS",), budget_seconds=3.0, stateful=0.5,
+                       step_budget=100)
+        assert spec == JobSpec.from_dict(spec_dict(stateful=0.5,
+                                                   step_budget=100))
+        assert JobSpec().config.budget_seconds == 30.0
+        with pytest.raises(TypeError):
+            JobSpec(no_such_option=1)
 
     def test_rejects_empty_decomposition(self):
         # GDsmith does not support kuzu: the whole grid is skipped cells.
@@ -129,13 +148,24 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             spec.cells()
 
-    def test_worker_spec_mirrors_parallel_runner_task(self):
+    def test_worker_spec_mirrors_parallel_runner_task(self, tmp_path):
+        # A service cell and an inline cell with equal options run from
+        # equal _run_cell specs.
+        from repro.experiments.campaign import campaign_grid_cells
         from repro.runtime.parallel import ParallelCampaignRunner
 
-        spec = JobSpec.from_dict(spec_dict(record_metrics=True))
-        cell = spec.cells()[0]
-        runner = ParallelCampaignRunner(jobs=1, record_metrics=True)
-        assert spec.worker_spec(cell) == runner._task(cell)["spec"]
+        scheduler = CampaignScheduler(tmp_path / "svc.jsonl", jobs=1,
+                                      **FAST)
+        try:
+            scheduler.submit(spec_dict(record_metrics=True))
+            (service_cell,) = scheduler._pending
+        finally:
+            scheduler.close()
+        (inline_cell,) = campaign_grid_cells(
+            ("GQS",), (ENGINE,), budget_seconds=3.0, record_metrics=True,
+        )
+        task = ParallelCampaignRunner(jobs=1)._task(inline_cell)
+        assert service_cell.spec == task["spec"]
 
 
 # -- journal replay ---------------------------------------------------------
@@ -358,6 +388,12 @@ class TestHttpRoutes:
         )
         assert status == 400 and "NotATester" in body["error"]
 
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_every_malformed_spec_is_400(self, server, bad):
+        status, _, _ = server._route("POST", "/jobs", spec_dict(**bad))
+        assert status == 400
+        assert server._route("GET", "/jobs", None)[2]["jobs"] == []
+
     def test_backpressure_is_429_with_retry_after(self, server):
         assert server._route("POST", "/jobs", spec_dict())[0] == 202
         status, headers, body = server._route(
@@ -414,6 +450,41 @@ class TestHttpEndToEnd:
         final = asyncio.run(scenario())
         assert final["status"] == "complete"
         assert final["counts"]["done"] == 1
+
+    def test_malformed_specs_are_400_over_http(self, tmp_path):
+        import asyncio
+
+        from repro.service import ServiceClient, ServiceError, ServiceServer
+
+        scheduler = CampaignScheduler(tmp_path / "svc.jsonl", jobs=1,
+                                      **FAST)
+
+        def submit_all(client):
+            statuses = []
+            for bad in MALFORMED:
+                try:
+                    client.submit(spec_dict(**bad))
+                except ServiceError as exc:
+                    statuses.append(exc.status)
+                else:
+                    statuses.append(202)
+            return statuses, client.jobs()
+
+        async def scenario():
+            server = ServiceServer(scheduler)
+            host, port = await server.start()
+            client = ServiceClient(f"http://{host}:{port}")
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, submit_all, client
+                )
+            finally:
+                await server.stop()
+                scheduler.close()
+
+        statuses, jobs = asyncio.run(scenario())
+        assert statuses == [400] * len(MALFORMED)
+        assert jobs == []
 
 
 # -- process-level signal handling ------------------------------------------

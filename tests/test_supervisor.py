@@ -24,6 +24,7 @@ from repro.engine import ENVELOPE, EvaluationBudgetExceeded, evaluation_budget
 from repro.gdb import create_engine
 from repro.runtime import (
     CampaignCell,
+    CellConfig,
     CellFailedError,
     CellSupervisor,
     ChaosConfig,
@@ -37,7 +38,8 @@ ENGINE = "falkordb"
 
 def cells_for(*testers, seed=0, budget=2.0):
     return [
-        CampaignCell(tester, ENGINE, seed, budget, gate_scale=0.05)
+        CampaignCell(tester, ENGINE, seed,
+                     CellConfig(budget, gate_scale=0.05))
         for tester in testers
     ]
 
@@ -229,7 +231,8 @@ class TestSandbox:
     def test_worker_exception_becomes_quarantine_hole(self, tmp_path):
         log_path = tmp_path / "grid.jsonl"
         grid = cells_for("GQS") + [
-            CampaignCell("NoSuchTester", ENGINE, 0, 2.0, gate_scale=0.05)
+            CampaignCell("NoSuchTester", ENGINE, 0,
+                         CellConfig(2.0, gate_scale=0.05))
         ]
         results = ParallelCampaignRunner(
             jobs=1, events_path=log_path, cell_retries=1, retry_backoff=0.0,
@@ -260,7 +263,7 @@ class TestSandbox:
         assert grid_end["completed"] == 1 and grid_end["quarantined"] == 1
 
     def test_quarantine_false_raises_after_final_failure(self, tmp_path):
-        grid = [CampaignCell("NoSuchTester", ENGINE, 0, 2.0)]
+        grid = [CampaignCell("NoSuchTester", ENGINE, 0, CellConfig(2.0))]
         runner = ParallelCampaignRunner(
             jobs=1, events_path=tmp_path / "grid.jsonl", quarantine=False,
         )
@@ -279,7 +282,8 @@ class TestSandbox:
         # head-of-line imap would have lost it).
         log_path = tmp_path / "grid.jsonl"
         grid = [
-            CampaignCell("NoSuchTester", ENGINE, 0, 2.0, gate_scale=0.05),
+            CampaignCell("NoSuchTester", ENGINE, 0,
+                         CellConfig(2.0, gate_scale=0.05)),
             *cells_for("GQS"),
         ]
         results = ParallelCampaignRunner(
@@ -426,17 +430,21 @@ class TestPoolLifecycle:
         # byte-identity with an uninterrupted reference run.
         log_path = tmp_path / "interrupted.jsonl"
         grid = [
-            CampaignCell("GQS", ENGINE, 0, 2.0, gate_scale=0.05),
-            CampaignCell("GQT", ENGINE, 0, 8.0, gate_scale=0.05),
-            CampaignCell("GRev", ENGINE, 0, 8.0, gate_scale=0.05),
+            CampaignCell("GQS", ENGINE, 0, CellConfig(2.0, gate_scale=0.05)),
+            CampaignCell("GQT", ENGINE, 0, CellConfig(8.0, gate_scale=0.05)),
+            CampaignCell("GRev", ENGINE, 0, CellConfig(8.0, gate_scale=0.05)),
         ]
         script = (
             "import sys\n"
-            "from repro.runtime import CampaignCell, ParallelCampaignRunner\n"
+            "from repro.runtime import (\n"
+            "    CampaignCell, CellConfig, ParallelCampaignRunner)\n"
             "cells = [\n"
-            "    CampaignCell('GQS', 'falkordb', 0, 2.0, gate_scale=0.05),\n"
-            "    CampaignCell('GQT', 'falkordb', 0, 8.0, gate_scale=0.05),\n"
-            "    CampaignCell('GRev', 'falkordb', 0, 8.0, gate_scale=0.05),\n"
+            "    CampaignCell('GQS', 'falkordb', 0,\n"
+            "                 CellConfig(2.0, gate_scale=0.05)),\n"
+            "    CampaignCell('GQT', 'falkordb', 0,\n"
+            "                 CellConfig(8.0, gate_scale=0.05)),\n"
+            "    CampaignCell('GRev', 'falkordb', 0,\n"
+            "                 CellConfig(8.0, gate_scale=0.05)),\n"
             "]\n"
             "ParallelCampaignRunner(jobs=2, events_path=sys.argv[1])"
             ".run(cells)\n"
@@ -529,7 +537,8 @@ class TestSupervisorRendering:
 
         log_path = tmp_path / "grid.jsonl"
         grid = cells_for("GQS") + [
-            CampaignCell("NoSuchTester", ENGINE, 0, 2.0, gate_scale=0.05)
+            CampaignCell("NoSuchTester", ENGINE, 0,
+                         CellConfig(2.0, gate_scale=0.05))
         ]
         ParallelCampaignRunner(
             jobs=1, events_path=log_path, cell_retries=1, retry_backoff=0.0,
