@@ -13,7 +13,7 @@ from conftest import run_once
 from repro.core.runner import GQSTester
 from repro.cypher.printer import print_query
 from repro.experiments import render_table
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.gdb.faults import extract_features
 from repro.graph import GraphGenerator
 
@@ -22,7 +22,8 @@ _GATE_SCALE = 0.04
 
 
 def _campaign(overrides, builder_overrides=None, seed=0):
-    engine = create_engine("falkordb", gate_scale=_GATE_SCALE)
+    engine = create_engine("falkordb",
+                           options=EngineOptions(gate_scale=_GATE_SCALE))
     tester = GQSTester(synthesizer_overrides=overrides)
     if builder_overrides:
         original_run_one = tester._run_one
@@ -110,7 +111,8 @@ def test_ablation_adaptive_feedback(benchmark):
 
     def run_both():
         blind = _campaign({}, seed=seed)
-        engine = create_engine("falkordb", gate_scale=_GATE_SCALE)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=_GATE_SCALE))
         tester = GQSTester()
         attach_adaptive_policy(tester, "epsilon")
         adaptive = tester.run(

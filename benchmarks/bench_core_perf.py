@@ -124,11 +124,12 @@ def mode_workload():
 
 
 def _mode_engine(mode, mode_workload):
-    from repro.gdb import create_engine
+    from repro.gdb import EngineOptions, create_engine
 
     schema, graph, texts = mode_workload
-    engine = create_engine(MODE_ENGINE, faults_enabled=False,
-                           execution_mode=mode)
+    engine = create_engine(MODE_ENGINE,
+                           options=EngineOptions(faults_enabled=False,
+                                                 execution_mode=mode))
     engine.load_graph(graph, schema)
     for text in texts:  # warm: parse memo, plan cache, graph indexes
         engine.execute(text)

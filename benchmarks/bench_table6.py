@@ -1,8 +1,9 @@
 """Table 6: bugs detected over a 24-hour(-equivalent) campaign per tool.
 
 The 18-cell (tester × engine) grid runs through
-``repro.runtime.ParallelCampaignRunner`` (set ``REPRO_BENCH_JOBS`` to use a
-process pool; results are identical for any jobs value).
+``repro.runtime.ParallelCampaignRunner`` on the campaign scheduler (set
+``REPRO_BENCH_JOBS`` to run that many lease workers; results are identical
+for any jobs value).
 
 Shape targets (paper): GQS finds the most bugs overall and per engine;
 GDsmith is the strongest baseline; GDBMeter and Gamera find only the

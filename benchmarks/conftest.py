@@ -18,9 +18,10 @@ import pytest
 def bench_jobs() -> int:
     """Worker processes for campaign grids (``REPRO_BENCH_JOBS``, default 1).
 
-    Campaign benchmarks fan their (tester × engine × seed) grids out through
-    :class:`repro.runtime.ParallelCampaignRunner`; results are identical for
-    any jobs value, so this only trades wall-clock for cores.
+    Campaign benchmarks run their (tester × engine × seed) grids through
+    :class:`repro.runtime.ParallelCampaignRunner` on the campaign
+    scheduler, with this many lease workers; results are identical for any
+    jobs value, so this only trades wall-clock for cores.
     """
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 

@@ -15,13 +15,13 @@ from pathlib import Path
 from repro.core.reporting import load_campaign, save_campaign
 from repro.core.runner import GQSTester
 from repro.experiments import figure13, figure14, figure15, render_histogram
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 
 
 def main(path: str = "") -> None:
     target = Path(path) if path else Path(tempfile.gettempdir()) / "gqs_campaign.json"
 
-    engine = create_engine("falkordb", gate_scale=0.05)
+    engine = create_engine("falkordb", options=EngineOptions(gate_scale=0.05))
     tester = GQSTester()
     print("running a short campaign against FalkorDB...")
     result = tester.run(engine, budget_seconds=90.0, seed=2)

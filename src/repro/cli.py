@@ -28,7 +28,7 @@ Usage (also available as ``python -m repro``):
     repro calibrate [--n 200]
 
 ``repro run`` is an alias for ``repro campaign`` (mirroring common driver
-CLIs).  Campaign grids fan out over a process pool (``--jobs``) and
+CLIs).  Campaign grids fan out over ``--jobs`` lease workers and
 checkpoint every completed (tester, engine, seed) cell to a JSONL event log,
 so an interrupted run restarts from where it left off (``--resume``).
 
@@ -50,13 +50,16 @@ through the delta-debugging subsystem (``*.min.json``, :mod:`repro.reduce`)
 bundles or whole bundle directories.  None of these perturb the RNG streams
 — results are byte-identical with or without the flags.
 
-Grid robustness (:mod:`repro.runtime.supervisor`): ``--cell-timeout``
-watchdogs each cell, ``--cell-retries`` retries failed cells with
-deterministic backoff before quarantining them (the grid completes with
-explicit holes), ``--step-budget`` caps evaluation steps per judgement
-(a blown budget is a ``harness_error`` event, never a false bug), and
+Grid robustness: every grid runs as one job on the campaign scheduler
+(:mod:`repro.service.scheduler`, in process, no HTTP).  ``--cell-timeout``
+is each cell attempt's lease length (a hung attempt is terminated),
+``--cell-retries`` retries failed cells with deterministic backoff before
+quarantining them (the grid completes with explicit holes and exits 3),
+``--resume LOG`` recovers checkpointed cells through the scheduler's
+journal replay, ``--step-budget`` caps evaluation steps per judgement (a
+blown budget is a ``harness_error`` event, never a false bug), and
 ``--chaos P[,SEED]`` deterministically injects worker crashes/hangs/errors
-and event-log tail truncation to exercise the supervisor itself.  See
+and event-log tail truncation to exercise the scheduler itself.  See
 ``docs/robustness.md``.
 
 ``--engine-mode`` selects the target engines' execution core
@@ -157,10 +160,10 @@ def _add_grid_output_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervisor_arguments(parser: argparse.ArgumentParser) -> None:
-    """Cell-supervisor robustness flags shared by campaign and compare."""
+    """Scheduler robustness flags shared by campaign and compare."""
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog per grid cell; a hung cell is "
+        help="lease length of each cell attempt; a hung attempt is "
              "terminated and counted as a failed attempt",
     )
     parser.add_argument(
@@ -171,7 +174,7 @@ def _add_supervisor_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chaos", default=None, metavar="P[,SEED]",
         help="deterministically inject worker crashes/hangs/errors and "
-             "event-log tail truncation with probability P (supervisor "
+             "event-log tail truncation with probability P (scheduler "
              "self-test; campaign results are unaffected)",
     )
 
@@ -446,8 +449,9 @@ def _cmd_campaign(args) -> int:
             events.close()
         results = {(args.tester, args.engine, args.seed): result}
     else:
-        # Replicate fan-out: K derived seeds over N workers, resumable,
-        # supervised (sandbox, watchdog, retries, quarantine, chaos).
+        # Replicate fan-out: K derived seeds as one job on the campaign
+        # scheduler (sandbox, lease timeout, retries, quarantine, chaos),
+        # resumable.
         results = run_campaign_grid(
             (args.tester,), (args.engine,),
             seeds=range(args.seed, args.seed + args.seeds),
@@ -1141,8 +1145,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "jobs": _cmd_jobs,
         "cancel": _cmd_cancel,
     }
+    from repro.service.scheduler import JournalError
+
     try:
         return handlers[args.command](args)
+    except JournalError as exc:
+        # A corrupt --resume log or service journal: say where, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe mid-print; not an error.
         import os

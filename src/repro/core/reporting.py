@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.runtime.results import BugReport, CampaignResult
 
@@ -32,6 +32,7 @@ __all__ = [
     "save_event_stream",
     "EventStream",
     "load_event_stream",
+    "decode_event_line",
     "completed_cells_from_events",
 ]
 
@@ -127,11 +128,14 @@ class EventStream(List[Dict[str, Any]]):
     ``skipped`` carries the count of undecodable (torn/truncated) lines and
     ``skipped_lines`` pins each one down (``{"offset": byte_offset,
     "length": bytes}``) so consumers such as ``repro stats`` can say *where*
-    the log lost data instead of silently under-counting.
+    the log lost data instead of silently under-counting.  ``positions``
+    holds each event's ``(line number, byte offset)``, for diagnostics
+    that name a record.
     """
 
     skipped: int = 0
     skipped_lines: List[Dict[str, int]] = []
+    positions: List[Tuple[int, int]] = []
 
 
 def load_event_stream(path: Union[str, Path]) -> EventStream:
@@ -144,6 +148,7 @@ def load_event_stream(path: Union[str, Path]) -> EventStream:
     """
     events = EventStream()
     skipped_lines: List[Dict[str, int]] = []
+    positions: List[Tuple[int, int]] = []
     offset = 0
     lines = Path(path).read_bytes().split(b"\n")
     # A final line with no terminating newline is a write in progress (or
@@ -151,21 +156,33 @@ def load_event_stream(path: Union[str, Path]) -> EventStream:
     # happens to be complete JSON — the live follower buffers exactly the
     # same bytes, keeping loader and follower byte-for-byte in agreement.
     tail = lines.pop()
-    for raw in lines:
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:
-            try:
-                events.append(json.loads(line.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            event = decode_event_line(line)
+            if event is None:
                 skipped_lines.append(
                     {"offset": offset, "length": len(raw)}
                 )
+            else:
+                events.append(event)
+                positions.append((number, offset))
         offset += len(raw) + 1
     if tail.strip():
         skipped_lines.append({"offset": offset, "length": len(tail)})
     events.skipped = len(skipped_lines)
     events.skipped_lines = skipped_lines
+    events.positions = positions
     return events
+
+
+def decode_event_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """One JSONL record as an event dict; None when it is not one (torn)."""
+    try:
+        event = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return event if isinstance(event, dict) else None
 
 
 def completed_cells_from_events(

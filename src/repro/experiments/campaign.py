@@ -36,7 +36,12 @@ from repro.baselines import (
     GRevTester,
 )
 from repro.core.runner import GQSTester
-from repro.gdb import ALL_ENGINE_NAMES, create_engine, faults_for
+from repro.gdb import (
+    ALL_ENGINE_NAMES,
+    EngineOptions,
+    create_engine,
+    faults_for,
+)
 from repro.runtime import (
     CampaignCell,
     CampaignKernel,
@@ -123,7 +128,8 @@ def make_tester(
         return GRevTester()
     if name == "GDsmith":
         others = [
-            create_engine(engine_name, gate_scale=gate_scale)
+            create_engine(engine_name,
+                          options=EngineOptions(gate_scale=gate_scale))
             for engine_name in _SUPPORTED["GDsmith"]
             if engine_name != target_engine_name
         ]
@@ -164,8 +170,10 @@ def run_cell(
     campaign's RNG stream.
     """
     config = cell.config
-    engine = create_engine(cell.engine, gate_scale=config.gate_scale,
-                           execution_mode=config.execution_mode)
+    engine = create_engine(cell.engine, options=EngineOptions(
+        gate_scale=config.gate_scale,
+        execution_mode=config.execution_mode,
+    ))
     tester = make_tester(cell.tester, cell.engine,
                          gate_scale=config.gate_scale,
                          stateful=config.stateful)
@@ -273,9 +281,9 @@ def run_campaign_grid(
     Cell options come as for :func:`run_tool_campaign`; every other
     keyword is a :class:`repro.runtime.ParallelCampaignRunner` argument —
     ``jobs``, ``events_path``, the flight recorder's ``bundle_dir`` and
-    ``reduce_bundles``, and the supervisor's ``cell_timeout``,
-    ``cell_retries``, ``retry_backoff``, ``quarantine`` and ``chaos``
-    (:mod:`repro.runtime.supervisor`).
+    ``reduce_bundles``, and the scheduler's ``cell_timeout`` (the lease
+    length), ``cell_retries``, ``retry_backoff`` and ``chaos``
+    (:mod:`repro.service.scheduler`).
     """
     cell_options = {name: options.pop(name) for name in list(options)
                     if name in _CELL_OPTIONS}

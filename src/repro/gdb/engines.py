@@ -16,7 +16,7 @@ root-cause deduplication the paper performs (§7, Limitations).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Union
 
@@ -79,9 +79,7 @@ class EngineOptions:
     the default ``restart`` behavior for :meth:`GraphDatabase.load_graph` /
     :meth:`GraphDatabase.session`, and the execution mode.  Everything that
     builds engines — :class:`GraphDatabase` and subclasses,
-    :func:`create_engine`, :class:`EngineSpec` — accepts one of these;
-    the old keyword arguments remain supported and, when given, override
-    the corresponding option field.
+    :func:`create_engine`, :class:`EngineSpec` — accepts one of these.
     """
 
     faults_enabled: bool = True
@@ -95,27 +93,6 @@ class EngineOptions:
                 f"unknown execution mode {self.execution_mode!r}; expected "
                 f"one of {EXECUTION_MODES}"
             )
-
-    def merged(
-        self,
-        *,
-        faults_enabled: Optional[bool] = None,
-        gate_scale: Optional[float] = None,
-        restart: Optional[bool] = None,
-        execution_mode: Optional[str] = None,
-    ) -> "EngineOptions":
-        """A copy with any non-None legacy keyword overrides applied."""
-        updates = {
-            name: value
-            for name, value in (
-                ("faults_enabled", faults_enabled),
-                ("gate_scale", gate_scale),
-                ("restart", restart),
-                ("execution_mode", execution_mode),
-            )
-            if value is not None
-        }
-        return replace(self, **updates) if updates else self
 
 
 class Session:
@@ -179,25 +156,13 @@ class GraphDatabase:
         dialect: Dialect,
         faults: Optional[List[Fault]] = None,
         options: Optional[EngineOptions] = None,
-        *,
-        faults_enabled: Optional[bool] = None,
-        gate_scale: Optional[float] = None,
-        execution_mode: Optional[str] = None,
     ):
-        # The only allowed positional tuning argument is an EngineOptions;
-        # the scalar flags stay keyword-only, as before the unification.
+        # Tuning arrives as one EngineOptions value, never as scalars.
         if options is not None and not isinstance(options, EngineOptions):
             raise TypeError(
-                f"options must be an EngineOptions, got {options!r}; "
-                "pass tuning flags by keyword"
+                f"options must be an EngineOptions, got {options!r}"
             )
-        # Legacy keyword args override the unified options object, so every
-        # pre-EngineOptions call site keeps its exact behavior.
-        self.options = (options or EngineOptions()).merged(
-            faults_enabled=faults_enabled,
-            gate_scale=gate_scale,
-            execution_mode=execution_mode,
-        )
+        self.options = options or EngineOptions()
         self.dialect = dialect
         self.name = dialect.name
         self.execution_mode = self.options.execution_mode
@@ -626,49 +591,29 @@ class GraphDatabase:
 class Neo4jSim(GraphDatabase):
     """Simulated Neo4j: on-disk, strict types, full procedure support."""
 
-    def __init__(self, options: Optional[EngineOptions] = None, *,
-                 faults_enabled: Optional[bool] = None,
-                 gate_scale: Optional[float] = None,
-                 execution_mode: Optional[str] = None):
-        super().__init__(DIALECTS["neo4j"], options=options,
-                         faults_enabled=faults_enabled,
-                         gate_scale=gate_scale, execution_mode=execution_mode)
+    def __init__(self, options: Optional[EngineOptions] = None):
+        super().__init__(DIALECTS["neo4j"], options=options)
 
 
 class MemgraphSim(GraphDatabase):
     """Simulated Memgraph: in-memory, lenient runtime types, no db.labels."""
 
-    def __init__(self, options: Optional[EngineOptions] = None, *,
-                 faults_enabled: Optional[bool] = None,
-                 gate_scale: Optional[float] = None,
-                 execution_mode: Optional[str] = None):
-        super().__init__(DIALECTS["memgraph"], options=options,
-                         faults_enabled=faults_enabled,
-                         gate_scale=gate_scale, execution_mode=execution_mode)
+    def __init__(self, options: Optional[EngineOptions] = None):
+        super().__init__(DIALECTS["memgraph"], options=options)
 
 
 class KuzuSim(GraphDatabase):
     """Simulated Kùzu: schema-first, no relationship-uniqueness guarantee."""
 
-    def __init__(self, options: Optional[EngineOptions] = None, *,
-                 faults_enabled: Optional[bool] = None,
-                 gate_scale: Optional[float] = None,
-                 execution_mode: Optional[str] = None):
-        super().__init__(DIALECTS["kuzu"], options=options,
-                         faults_enabled=faults_enabled,
-                         gate_scale=gate_scale, execution_mode=execution_mode)
+    def __init__(self, options: Optional[EngineOptions] = None):
+        super().__init__(DIALECTS["kuzu"], options=options)
 
 
 class FalkorDBSim(GraphDatabase):
     """Simulated FalkorDB: no relationship uniqueness, rounded float output."""
 
-    def __init__(self, options: Optional[EngineOptions] = None, *,
-                 faults_enabled: Optional[bool] = None,
-                 gate_scale: Optional[float] = None,
-                 execution_mode: Optional[str] = None):
-        super().__init__(DIALECTS["falkordb"], options=options,
-                         faults_enabled=faults_enabled,
-                         gate_scale=gate_scale, execution_mode=execution_mode)
+    def __init__(self, options: Optional[EngineOptions] = None):
+        super().__init__(DIALECTS["falkordb"], options=options)
 
 
 class ReferenceGDB(GraphDatabase):
@@ -698,29 +643,14 @@ _ENGINE_CLASSES = {
 def create_engine(
     name: str,
     options: Optional[EngineOptions] = None,
-    *,
-    faults_enabled: Optional[bool] = None,
-    gate_scale: Optional[float] = None,
-    execution_mode: Optional[str] = None,
 ) -> GraphDatabase:
-    """Factory for the four simulated engines.
-
-    Tuning arrives either as one :class:`EngineOptions` value or via the
-    legacy keyword flags (which override option fields when both are
-    given).  The flags stay keyword-only — ``create_engine("neo4j",
-    gate_scale=0.1)`` reads unambiguously at call sites, and positional
-    booleans cannot silently swap.
-    """
+    """Factory for the four simulated engines, tuned by one
+    :class:`EngineOptions` value (positional or ``options=``)."""
     try:
         cls = _ENGINE_CLASSES[name]
     except KeyError:
         raise ValueError(f"unknown engine {name!r}") from None
-    return cls(
-        options=options,
-        faults_enabled=faults_enabled,
-        gate_scale=gate_scale,
-        execution_mode=execution_mode,
-    )
+    return cls(options=options)
 
 
 @dataclass(frozen=True)

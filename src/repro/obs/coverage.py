@@ -58,16 +58,16 @@ class CoverageSchemaError(ValueError):
         self.cell = cell
         self.found = found
         self.expected = expected
+        stamp = ("no schema stamp" if found is None
+                 else f"schema version {found!r}")
         super().__init__(
-            f"coverage snapshot for cell {cell} has schema version "
-            f"{found!r}; this build reads version {expected}"
+            f"coverage snapshot for cell {cell} has {stamp}; this build "
+            f"reads version {expected}"
         )
 
 
 def _check_schema(snapshot: Dict[str, Any], cell: str) -> None:
-    # Snapshots from builds predating the stamp carry no ``schema`` key;
-    # they are layout-compatible with version 1 and accepted as-is.
-    version = snapshot.get("schema", COVERAGE_SCHEMA_VERSION)
+    version = snapshot.get("schema")
     if version != COVERAGE_SCHEMA_VERSION:
         raise CoverageSchemaError(cell, version, COVERAGE_SCHEMA_VERSION)
 

@@ -29,7 +29,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -69,6 +68,10 @@ class EventFollower:
 
     def poll(self) -> List[Event]:
         """Parse newly appended events, fold them, and return them."""
+        # Imported here: repro.core imports the runtime layer, which
+        # imports repro.obs.
+        from repro.core.reporting import decode_event_line
+
         try:
             size = self.path.stat().st_size
         except OSError:
@@ -91,9 +94,8 @@ class EventFollower:
         for raw in lines:
             line = raw.strip()
             if line:
-                try:
-                    event = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
+                event = decode_event_line(line)
+                if event is None:
                     self.skipped += 1
                     self.skipped_lines.append(
                         {"offset": position, "length": len(raw)}

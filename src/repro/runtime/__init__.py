@@ -3,12 +3,13 @@
 One pluggable kernel (:class:`CampaignKernel`) runs every tester —
 GQS and all five baselines — through a single loop, parameterized by the
 :class:`TesterProtocol` they implement; :class:`ParallelCampaignRunner`
-fans (tester × engine × seed) grids out over a process pool with an
-event-stream checkpoint so interrupted grids resume from the last
-completed cell.  :class:`CellSupervisor` sandboxes every cell — worker
-exceptions, hangs, and crashes become structured failure events,
-deterministic retries, and explicit quarantine holes instead of grid
-aborts (:mod:`repro.runtime.supervisor`).
+runs (tester × engine × seed) grids as one job on the campaign scheduler
+(:class:`repro.service.scheduler.CampaignScheduler`, in process, no
+HTTP), with an event-stream checkpoint so interrupted grids resume from
+the last completed cell.  Every cell attempt is sandboxed
+(:mod:`repro.runtime.supervisor`): worker exceptions, hangs, and crashes
+become structured failure events, deterministic retries, and explicit
+quarantine holes instead of grid aborts.
 """
 
 from repro.runtime.adapt import (
@@ -32,14 +33,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.protocol import Judgement, SessionPolicy, TesterProtocol
 from repro.runtime.results import BugReport, CampaignResult
-from repro.runtime.supervisor import (
-    CellFailedError,
-    CellFailure,
-    CellOutcome,
-    CellSupervisor,
-    ChaosConfig,
-    mp_context,
-)
+from repro.runtime.supervisor import ChaosConfig, mp_context
 
 __all__ = [
     "ADAPTIVE_STRATEGIES",
@@ -55,11 +49,7 @@ __all__ = [
     "attach_adaptive_policy",
     "default_arms",
     "merge_adaptation_snapshots",
-    "CellFailedError",
-    "CellFailure",
     "CellKey",
-    "CellOutcome",
-    "CellSupervisor",
     "ChaosConfig",
     "EventLog",
     "Judgement",

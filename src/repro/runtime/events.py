@@ -80,11 +80,24 @@ class EventLog:
             from repro.core.reporting import event_to_json_line
 
             if self._handle is None:
-                mode = "a" if self._append else "w"
-                self._handle = self.path.open(mode, encoding="utf-8")
+                self._open()
             self._handle.write(event_to_json_line(event) + "\n")
             self._handle.flush()
         return event
+
+    def _open(self) -> None:
+        """Open the file; an append first ends a torn final line, so the
+        stump of a killed write never swallows the next record."""
+        torn = False
+        if self._append and self.path.exists():
+            with self.path.open("rb") as handle:
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    torn = handle.read(1) != b"\n"
+        self._handle = self.path.open("a" if self._append else "w",
+                                      encoding="utf-8")
+        if torn:
+            self._handle.write("\n")
 
     def extend(self, events: List[Event]) -> None:
         """Re-emit *events* (e.g. forwarded from a worker process)."""

@@ -1,10 +1,11 @@
-"""Parallel (tester × engine × seed) campaign fan-out.
+"""Parallel (tester × engine × seed) campaign grids.
 
 The paper's evaluation grid (6 testers × 4 engines × seeds; Table 6,
 Figure 18) is embarrassingly parallel: every cell is an independent
-campaign with its own engine instance and its own deterministic RNG.  This
-module fans the grid out over a ``multiprocessing`` pool, supervised by
-:class:`repro.runtime.supervisor.CellSupervisor`:
+campaign with its own engine instance and its own deterministic RNG.
+:class:`ParallelCampaignRunner` runs a grid as one job on an in-process
+:class:`repro.service.scheduler.CampaignScheduler` — the same scheduler
+the campaign service runs, without HTTP:
 
 * **Determinism** — each cell's seed is fixed *in the cell spec*, before
   any work is scheduled, and results are merged back keyed by cell in grid
@@ -17,23 +18,24 @@ module fans the grid out over a ``multiprocessing`` pool, supervised by
   and the cell's :class:`CellConfig` as a dict) and rebuild the
   engine/tester inside the child, so nothing unpicklable crosses the
   process boundary.
-* **Robustness** — the supervisor sandboxes every cell: worker exceptions
-  become ``cell_failed`` events, hangs are cut by the ``cell_timeout``
-  watchdog, failed cells are retried (``cell_retries``) with deterministic
-  backoff and finally **quarantined** so the grid completes with explicit
-  holes (``cell_quarantined`` events, absent keys in the returned dict).
+* **Robustness** — the scheduler sandboxes every attempt: worker
+  exceptions, crashes and ``cell_timeout`` expiries (the lease length)
+  become ``cell_failed`` events, failed cells are retried
+  (``cell_retries``) with deterministic backoff and finally
+  **quarantined**, so the grid completes with explicit holes
+  (``cell_quarantined`` events, absent keys in the returned dict).
 * **Checkpoint/resume** — ``cell_complete`` checkpoints (the full
-  serialized campaign) are appended to the JSONL event log in **completion
-  order** — an interrupt after N finished cells always resumes N cells, no
-  matter where they sat in the grid.  A grid re-run with
-  ``resume_path=...`` skips every cell already on record.
+  serialized campaign) are appended to the JSONL event log in
+  **completion order** — an interrupt after N finished cells always
+  resumes N cells, no matter where they sat in the grid.  A grid re-run
+  with ``resume_path=...`` recovers every cell already on record through
+  the scheduler's journal replay and runs only the rest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import (
@@ -49,12 +51,7 @@ from typing import (
 
 from repro.runtime.events import EventLog
 from repro.runtime.results import CampaignResult
-from repro.runtime.supervisor import (
-    CellFailure,
-    CellOutcome,
-    CellSupervisor,
-    ChaosConfig,
-)
+from repro.runtime.supervisor import DEFAULT_RETRY_BACKOFF, ChaosConfig
 
 __all__ = [
     "CampaignCell",
@@ -218,12 +215,12 @@ def _run_cell(spec: Dict[str, Any]) -> Tuple[Dict, List[Dict]]:
     so it crosses process boundaries under any start method.  Imports are
     local so the module stays import-cycle-free (the runtime layer must not
     statically depend on the experiment harness) and so ``spawn``-based
-    pools re-import only what they need.
+    workers re-import only what they need.
 
     With ``record_metrics`` the cell runs under a *fresh* per-cell
     observability scope (see :func:`repro.experiments.campaign.run_cell`),
-    so each cell's ``metrics`` event snapshot covers exactly that cell no
-    matter how the pool reuses worker processes — the invariant the
+    so each cell's ``metrics`` event snapshot covers exactly that cell,
+    also when attempts share the scheduler's process — the invariant the
     deterministic barrier merge depends on.
     """
     from repro.core.reporting import campaign_to_dict
@@ -241,12 +238,14 @@ def _run_cell(spec: Dict[str, Any]) -> Tuple[Dict, List[Dict]]:
 
 
 class ParallelCampaignRunner:
-    """Fan a list of campaign cells out over a process pool and merge back.
+    """Run a list of campaign cells as one scheduler job; merge back in
+    grid order.
 
-    ``jobs=1`` runs inline (no pool), which doubles as the determinism
-    reference for the parallel path.  ``cell_timeout``/``chaos`` switch
-    the supervisor to one-process-per-attempt slots so hangs and hard
-    crashes can be contained (see :mod:`repro.runtime.supervisor`).
+    With ``jobs=1`` and neither ``cell_timeout`` nor ``chaos``, attempts
+    run in this process — the determinism reference for every other
+    configuration; otherwise each attempt runs in a lease worker process,
+    so hangs (``cell_timeout`` is the lease length) and hard crashes are
+    contained (see :mod:`repro.service.scheduler`).
     """
 
     def __init__(
@@ -259,7 +258,6 @@ class ParallelCampaignRunner:
         cell_timeout: Optional[float] = None,
         cell_retries: int = 0,
         retry_backoff: Optional[float] = None,
-        quarantine: bool = True,
         chaos: Optional[Union[ChaosConfig, str]] = None,
     ):
         self.jobs = max(1, int(jobs))
@@ -267,16 +265,13 @@ class ParallelCampaignRunner:
         self.record_queries = record_queries
         self.bundle_dir = Path(bundle_dir) if bundle_dir else None
         self.reduce_bundles = reduce_bundles
-        supervisor_kwargs: Dict[str, Any] = {
-            "jobs": self.jobs,
-            "cell_timeout": cell_timeout,
+        self.scheduling: Dict[str, Any] = {
+            "lease_seconds": cell_timeout,
             "cell_retries": cell_retries,
-            "quarantine": quarantine,
+            "retry_backoff": (DEFAULT_RETRY_BACKOFF if retry_backoff is None
+                              else retry_backoff),
             "chaos": chaos,
         }
-        if retry_backoff is not None:
-            supervisor_kwargs["retry_backoff"] = retry_backoff
-        self.supervisor = CellSupervisor(**supervisor_kwargs)
 
     def run(
         self,
@@ -290,281 +285,148 @@ class ParallelCampaignRunner:
         cells are explicit holes: absent from the returned dict, present
         in the event stream as ``cell_quarantined``.
         """
-        from repro.core.reporting import campaign_from_dict
+        from repro.core.reporting import load_event_stream
+        from repro.service.scheduler import CampaignScheduler
 
         cells = list(cells)
-        if len({cell.key for cell in cells}) != len(cells):
+        keys = [cell.key for cell in cells]
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate (tester, engine, seed) cells in grid")
-        by_key = {cell.key: cell for cell in cells}
-
-        done: Dict[CellKey, CampaignResult] = {}
-        # Per-campaign observability snapshots, *keyed by cell* so barrier
-        # merges fold them in grid order no matter the completion order —
-        # the byte-identity invariant across job counts.
-        snapshots: Dict[str, Dict[CellKey, List[Dict]]] = {
-            kind: {} for kind in _SNAPSHOT_KINDS
-        }
+        prior: List[Dict] = []
         if resume_path is not None and Path(resume_path).exists():
-            from repro.core.reporting import (
-                completed_cells_from_events,
-                load_event_stream,
-            )
-
-            wanted = set(by_key)
-            resume_events = load_event_stream(resume_path)
-            recorded = completed_cells_from_events(resume_events)
-            done = {key: recorded[key] for key in recorded if key in wanted}
-            # Observability snapshots of already-checkpointed cells still
-            # count toward the merged grid snapshots.
-            for event in resume_events:
-                kind = event.get("event")
-                key = (event.get("tester"), event.get("engine"),
-                       event.get("seed"))
-                if (kind in snapshots
-                        and event.get("scope") == "campaign"
-                        and key in done):
-                    snapshots[kind].setdefault(key, []).append(
-                        event["snapshot"]
-                    )
-
+            prior = load_event_stream(resume_path)
+        done, snapshots = _fold(prior, keys)
         pending = [cell for cell in cells if cell.key not in done]
-        stats = {"failed": 0, "retried": 0, "timeouts": 0, "crashes": 0,
-                 "quarantined": 0, "truncated": 0}
         record_metrics = any(cell.config.record_metrics for cell in cells)
         with EventLog(self.events_path, record_spans=record_metrics) as log:
             # ``grid`` lists every (tester, engine, seed) cell up front so a
             # live follower (``repro watch``) can show pending cells before
             # any worker reports; workers buffer their events until cell
             # completion, so this is the only early signal a grid log has.
-            log.emit(
-                "grid_start",
-                cells=len(cells),
-                resumed=len(done),
-                pending=len(pending),
-                jobs=self.jobs,
-                grid=[list(cell.key) for cell in cells],
-            )
-            tasks = [self._task(cell) for cell in pending]
-            for item in self.supervisor.run(tasks):
-                if isinstance(item, CellFailure):
-                    self._on_failure(log, item, stats)
-                    continue
-                self._on_outcome(log, item, by_key[item.key], done,
-                                 snapshots, stats, campaign_from_dict)
-            self._emit_barriers(log, cells, snapshots, stats,
-                                record_metrics)
-            log.emit(
-                "grid_end",
-                cells=len(cells),
-                completed=len(done),
-                quarantined=stats["quarantined"],
-            )
-        return {cell.key: done[cell.key] for cell in cells
-                if cell.key in done}
-
-    # -- supervisor event plumbing ----------------------------------------
-
-    def _on_failure(self, log: EventLog, failure: CellFailure,
-                    stats: Dict[str, int]) -> None:
-        tester, engine, seed = failure.key
-        stats["failed"] += 1
-        if failure.kind == "timeout":
-            stats["timeouts"] += 1
-        elif failure.kind == "crash":
-            stats["crashes"] += 1
-        log.emit(
-            "cell_failed",
-            tester=tester,
-            engine=engine,
-            seed=seed,
-            attempt=failure.attempt,
-            kind=failure.kind,
-            error=failure.error,
-            traceback_tail=failure.traceback_tail,
-            will_retry=failure.will_retry,
-        )
-        if failure.will_retry:
-            stats["retried"] += 1
-            log.emit(
-                "cell_retry",
-                tester=tester,
-                engine=engine,
-                seed=seed,
-                next_attempt=failure.attempt + 1,
-                backoff=failure.backoff,
-            )
-
-    def _on_outcome(
-        self,
-        log: EventLog,
-        outcome: CellOutcome,
-        cell: CampaignCell,
-        done: Dict[CellKey, CampaignResult],
-        snapshots: Dict[str, Dict[CellKey, List[Dict]]],
-        stats: Dict[str, int],
-        campaign_from_dict,
-    ) -> None:
-        if outcome.quarantined:
-            stats["quarantined"] += 1
-            log.emit(
-                "cell_quarantined",
-                tester=cell.tester,
-                engine=cell.engine,
-                seed=cell.seed,
-                attempts=outcome.attempts,
-            )
-            return
-        log.extend(outcome.events)
-        for event in outcome.events:
-            kind = event.get("event")
-            if kind in snapshots and event.get("scope") == "campaign":
-                snapshots[kind].setdefault(cell.key, []).append(
-                    event["snapshot"]
+            log.emit("grid_start", cells=len(keys), resumed=len(done),
+                     pending=len(pending), jobs=self.jobs,
+                     grid=[list(key) for key in keys])
+            first = len(log)
+            if pending:
+                scheduler = CampaignScheduler(
+                    log, jobs=min(self.jobs, len(pending)),
+                    capacity=len(pending), **self.scheduling,
                 )
-        done[cell.key] = campaign_from_dict(outcome.campaign)
-        # Completion-order checkpoint: emitted the moment the cell lands,
-        # so an interrupt after N finished cells always resumes N cells.
-        log.emit(
-            "cell_complete",
-            tester=cell.tester,
-            engine=cell.engine,
-            seed=cell.seed,
-            attempts=outcome.attempts,
-            campaign=outcome.campaign,
-        )
-        chaos = self.supervisor.chaos
-        if (chaos is not None and log.path is not None
-                and chaos.truncates(cell.key)):
-            # Chaos: tear the checkpoint line we just wrote, simulating a
-            # crash mid-write.  The in-memory log (and hence this run's
-            # results) keeps the full event; only a later ``--resume``
-            # sees the torn line, skips it, and re-runs the cell.
-            stats["truncated"] += 1
-            self._truncate_tail(log)
-            log.emit(
-                "chaos",
-                action="truncate_tail",
-                tester=cell.tester,
-                engine=cell.engine,
-                seed=cell.seed,
-            )
+                try:
+                    scheduler.submit([self._spec(cell) for cell in pending])
+                    scheduler.run_until(timeout=None)
+                finally:
+                    scheduler.close()
+            ran = log.events[first:]
+            fresh, fresh_snapshots = _fold(ran, keys)
+            done.update(fresh)
+            for kind, by_key in fresh_snapshots.items():
+                snapshots[kind].update(by_key)
+            stats = _supervisor_stats(ran)
+            _emit_barriers(log, keys, snapshots, stats, record_metrics)
+            log.emit("grid_end", cells=len(keys), completed=len(done),
+                     quarantined=stats["quarantined"])
+        return {key: done[key] for key in keys if key in done}
 
-    @staticmethod
-    def _truncate_tail(log: EventLog, nbytes: int = 32) -> None:
-        """Chop the tail of the last written line, leaving a torn record."""
-        path = log.path
-        size = path.stat().st_size
-        if size <= nbytes:
-            return
-        with open(path, "r+b") as handle:
-            handle.truncate(size - nbytes)
-            # Real torn writes end without a newline and nothing follows;
-            # here the run continues, so terminate the torn line to keep
-            # subsequent appends parseable (the torn line itself is
-            # invalid JSON and is skipped by ``load_event_stream``).
-            handle.seek(0, os.SEEK_END)
-            handle.write(b"\n")
+    def _spec(self, cell: CampaignCell) -> Dict[str, Any]:
+        """The ``_run_cell`` spec this runner submits for *cell*."""
+        return cell.worker_spec(self.record_queries, self.bundle_dir,
+                                self.reduce_bundles)
 
-    def _emit_barriers(
-        self,
-        log: EventLog,
-        cells: Sequence[CampaignCell],
-        snapshots: Dict[str, Dict[CellKey, List[Dict]]],
-        stats: Dict[str, int],
-        record_metrics: bool,
-    ) -> None:
-        """Grid-scope barrier merges, folded in grid order (byte-stable)."""
-        ordered: Dict[str, List[Dict]] = {
-            kind: [snap for cell in cells
-                   for snap in snapshots[kind].get(cell.key, ())]
-            for kind in _SNAPSHOT_KINDS
-        }
-        if record_metrics and ordered["metrics"]:
-            # Barrier merge: per-worker snapshots fold element-wise
-            # (fixed bucket edges), so the result is independent of
-            # worker count and completion order.
-            from repro.obs import merge_snapshots
 
-            merged = ordered["metrics"]
-            supervisor_snap = self._supervisor_snapshot(stats)
-            if supervisor_snap is not None:
-                merged = merged + [supervisor_snap]
-            log.emit(
-                "metrics",
-                scope="grid",
-                cells=len(ordered["metrics"]),
-                snapshot=merge_snapshots(merged),
-            )
-        if ordered["coverage"]:
-            # Coverage/triage merges fold cells in sorted (tester,
-            # engine, seed) order internally — same invariant.
-            from repro.obs import merge_coverage_snapshots
+def _fold(events: Sequence[Dict], keys: Sequence[CellKey]):
+    """(results, snapshots) of the grid cells a log checkpointed.
 
-            log.emit(
-                "coverage",
-                scope="grid",
-                cells=len(ordered["coverage"]),
-                snapshot=merge_coverage_snapshots(ordered["coverage"]),
-            )
-        if ordered["triage"]:
-            from repro.obs import merge_triage_snapshots
+    Checkpoints come from the scheduler's journal replay (the last one of
+    a cell wins); snapshots are the campaign-scope observability
+    snapshots of those cells, by kind and cell, so barrier merges fold
+    them in grid order no matter the completion order — the byte-identity
+    invariant across job counts.
+    """
+    from repro.core.reporting import campaign_from_dict
+    from repro.service.scheduler import replay_service_journal
 
-            log.emit(
-                "triage",
-                scope="grid",
-                cells=len(ordered["triage"]),
-                snapshot=merge_triage_snapshots(ordered["triage"]),
-            )
-        if ordered["adaptation"]:
-            from repro.runtime.adapt import merge_adaptation_snapshots
+    recorded = replay_service_journal(events)["cells"]
+    done = {key: campaign_from_dict(recorded[key]["campaign"])
+            for key in keys if key in recorded}
+    snapshots: Dict[str, Dict[CellKey, List[Dict]]] = {
+        kind: {} for kind in _SNAPSHOT_KINDS
+    }
+    for event in events:
+        kind = event.get("event")
+        key = (event.get("tester"), event.get("engine"), event.get("seed"))
+        if (kind in snapshots and event.get("scope") == "campaign"
+                and key in done):
+            snapshots[kind].setdefault(key, []).append(event["snapshot"])
+    return done, snapshots
 
-            # Tag each snapshot with its cell identity (the merge folds in
-            # sorted cell order, independent of completion order).
-            tagged = [
-                {**snap, "tester": cell.tester, "engine": cell.engine,
-                 "seed": cell.seed}
-                for cell in cells
-                for snap in snapshots["adaptation"].get(cell.key, ())
-            ]
-            log.emit(
-                "adaptation",
-                scope="grid",
-                cells=len(tagged),
-                snapshot=merge_adaptation_snapshots(tagged),
-            )
-        if stats["failed"] or stats["quarantined"] or stats["truncated"]:
-            log.emit("supervisor", **stats)
 
-    @staticmethod
-    def _supervisor_snapshot(stats: Dict[str, int]) -> Optional[Dict]:
-        """Supervisor counters as a metrics snapshot for the grid merge.
+def _supervisor_stats(events: Sequence[Dict]) -> Dict[str, int]:
+    """Failure accounting of one grid run, from its own events."""
+    from repro.obs.render import supervisor_counts
 
-        Only materialized when something actually failed, so fault-free
-        grids keep byte-identical grid metrics with or without the
-        supervisor features enabled.
-        """
-        if not (stats["failed"] or stats["quarantined"]
-                or stats["truncated"]):
-            return None
-        from repro.obs.metrics import MetricsRegistry
+    counts = supervisor_counts(events)
+    failed = counts["failed_by_kind"]
+    return {"failed": sum(failed.values()), "retried": counts["retries"],
+            "timeouts": failed.get("timeout", 0),
+            "crashes": failed.get("crash", 0),
+            "quarantined": counts["quarantined"],
+            "truncated": counts["chaos_truncations"]}
 
-        registry = MetricsRegistry()
-        registry.counter("supervisor.failures").inc(stats["failed"])
-        registry.counter("supervisor.retries").inc(stats["retried"])
-        registry.counter("supervisor.timeouts").inc(stats["timeouts"])
-        registry.counter("supervisor.crashes").inc(stats["crashes"])
-        registry.counter("supervisor.quarantined").inc(
-            stats["quarantined"]
-        )
-        registry.counter("supervisor.truncated").inc(stats["truncated"])
-        return registry.snapshot()
 
-    # -- worker task specs -------------------------------------------------
+def _emit_barriers(
+    log: EventLog,
+    keys: Sequence[CellKey],
+    snapshots: Dict[str, Dict[CellKey, List[Dict]]],
+    stats: Dict[str, int],
+    record_metrics: bool,
+) -> None:
+    """Grid-scope barrier merges, folded in grid order (byte-stable).
 
-    def _task(self, cell: CampaignCell) -> Dict[str, Any]:
-        """The supervisor task for *cell*: key + primitives-only spec."""
-        return {
-            "key": cell.key,
-            "spec": cell.worker_spec(self.record_queries, self.bundle_dir,
-                                     self.reduce_bundles),
-        }
+    Metrics fold element-wise (fixed bucket edges); coverage, triage and
+    adaptation merges fold cells in sorted (tester, engine, seed) order —
+    either way the result is independent of worker count and completion
+    order.  Supervisor counters join the metrics merge, and a
+    ``supervisor`` event is written, only when something failed, so
+    fault-free grids keep byte-identical grid metrics.
+    """
+    from repro.obs import (
+        merge_coverage_snapshots,
+        merge_snapshots,
+        merge_triage_snapshots,
+    )
+    from repro.runtime.adapt import merge_adaptation_snapshots
+
+    troubled = stats["failed"] or stats["quarantined"] or stats["truncated"]
+    merges = (("metrics", merge_snapshots),
+              ("coverage", merge_coverage_snapshots),
+              ("triage", merge_triage_snapshots),
+              ("adaptation", merge_adaptation_snapshots))
+    for kind, merge in merges:
+        ordered = [
+            # Adaptation merges need each snapshot's cell identity.
+            dict(snap, tester=key[0], engine=key[1], seed=key[2])
+            if kind == "adaptation" else snap
+            for key in keys for snap in snapshots[kind].get(key, ())
+        ]
+        if not ordered or (kind == "metrics" and not record_metrics):
+            continue
+        cells = len(ordered)
+        if kind == "metrics" and troubled:
+            ordered.append(_supervisor_snapshot(stats))
+        log.emit(kind, scope="grid", cells=cells, snapshot=merge(ordered))
+    if troubled:
+        log.emit("supervisor", **stats)
+
+
+def _supervisor_snapshot(stats: Dict[str, int]) -> Dict:
+    """Supervisor counters as a metrics snapshot for the grid merge."""
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    for name, key in (("failures", "failed"), ("retries", "retried"),
+                      ("timeouts", "timeouts"), ("crashes", "crashes"),
+                      ("quarantined", "quarantined"),
+                      ("truncated", "truncated")):
+        registry.counter(f"supervisor.{name}").inc(stats[key])
+    return registry.snapshot()

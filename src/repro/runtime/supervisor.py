@@ -1,50 +1,26 @@
-"""The cell supervisor: sandboxing, watchdog timeouts, retries, chaos.
+"""Cell attempts: the sandboxed entry point, worker set-up and chaos.
 
 Long unattended campaign grids (paper Table 6, Figure 18) must survive
 their own harness: a pathological synthesized query that trips the
 recursion limit, a worker process that dies, or a cell that hangs must
-cost one cell *attempt*, not the grid.  This module wraps every grid cell
-in a sandbox:
+cost one cell *attempt*, not the grid.  Scheduling those attempts —
+leases, retries with backoff, quarantine, checkpoints — is the job of the
+one scheduler every grid and the campaign service run on
+(:class:`repro.service.scheduler.CampaignScheduler`).  This module holds
+what an attempt itself needs, wherever it runs:
 
-* **Sandboxing** — worker exceptions never propagate; each failed attempt
-  becomes a structured :class:`CellFailure` (exception type, traceback
-  tail, cell key, attempt number) that the runner serializes into a
-  ``cell_failed`` event.
-* **Watchdog** — with a per-cell wall-clock timeout, each attempt runs in
-  its own :class:`multiprocessing.Process` slot; the parent polls result
-  pipes and hard-terminates (then kills) any attempt past its deadline,
-  converting hangs into ``timeout`` failures.
-* **Deterministic retries** — failed cells are retried up to
-  ``cell_retries`` times with exponential backoff
-  (``retry_backoff * 2**(attempt-1)``).  Every attempt reuses the *same*
-  cell seed: cells are deterministic, so retry only helps transient
-  harness faults, and a retried success is byte-identical to a first-try
-  success.  After exhaustion the cell is **quarantined** (the grid
-  completes with an explicit hole) or, with ``quarantine=False``, the
-  supervisor raises :class:`CellFailedError`.
+* **Sandboxing** — :func:`_run_cell_guarded` never raises: a worker
+  exception becomes a structured ``error`` payload (exception type,
+  traceback tail, cell key, attempt number) that the scheduler journals
+  as a ``cell_failed`` event.
+* **Worker set-up** — :func:`mp_context` picks the start method and
+  :func:`_init_worker` the recursion headroom of every worker process
+  (lease workers and reduction pools alike).
 * **Chaos** — a deterministic fault injector (:class:`ChaosConfig`)
-  crashes, hangs, or errors worker attempts and tears event-log tail
-  writes, keyed on SHA-256 draws over the cell identity and attempt
-  number, so the supervisor is itself tested by fault injection without
-  perturbing any campaign RNG stream.
-
-The supervisor yields outcomes in **completion order** — checkpointing is
-the caller's job and must not wait for head-of-line cells.  Determinism
-of merged results is preserved by the caller keying everything by cell.
-
-Three execution modes, picked automatically:
-
-========================  =====================================
-configuration             mode
-========================  =====================================
-no timeout/chaos, jobs=1  inline (reference path, no processes)
-no timeout/chaos, jobs>1  pool (``imap_unordered`` + initializer)
-timeout or chaos set      slots (one process per attempt)
-========================  =====================================
-
-Pool workers cannot be watchdogged: a hard-dead worker loses its task and
-``imap_unordered`` would wait forever, so any configuration that needs
-termination semantics routes to slot mode.
+  crashes, hangs, or errors attempts, stalls lease heartbeats and tears
+  checkpoint writes, keyed on SHA-256 draws over the cell identity and
+  attempt number, so the scheduler is itself tested by fault injection
+  without perturbing any campaign RNG stream.
 """
 
 from __future__ import annotations
@@ -55,24 +31,10 @@ import os
 import sys
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
-    "CellFailedError",
-    "CellFailure",
-    "CellOutcome",
-    "CellSupervisor",
     "ChaosConfig",
     "DEFAULT_CHAOS_TIMEOUT",
     "DEFAULT_RETRY_BACKOFF",
@@ -91,12 +53,12 @@ DEFAULT_RETRY_BACKOFF = 0.05
 DEFAULT_CHAOS_TIMEOUT = 30.0
 
 #: Recursion headroom for deep synthesized ASTs, applied uniformly to every
-#: worker (campaign pools, supervisor slots, and reduction pools alike).
+#: worker (lease workers and reduction pools alike).
 WORKER_RECURSION_LIMIT = 10_000
 
 
 def mp_context():
-    """The multiprocessing context used by every runtime pool.
+    """The multiprocessing context used by every runtime worker.
 
     Fork is preferred (cheap, inherits the warm interpreter); the
     ``GQS_START_METHOD`` environment variable overrides it so the spawn
@@ -114,11 +76,11 @@ def mp_context():
 
 
 def _init_worker() -> None:
-    """Worker initializer shared by campaign and reduction pools.
+    """Worker set-up shared by lease workers and reduction pools.
 
     Raises the recursion limit so deep synthesized ASTs fail with the
     typed budget error (or not at all) instead of tripping Python's
-    default 1000-frame ceiling only in whichever pool forgot the raise.
+    default 1000-frame ceiling only in whichever worker forgot the raise.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(),
                               WORKER_RECURSION_LIMIT))
@@ -129,7 +91,7 @@ def _init_worker() -> None:
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Deterministic fault injection for supervisor self-testing.
+    """Deterministic fault injection for scheduler self-testing.
 
     Every decision is a pure function of ``(seed, purpose, cell identity,
     attempt)`` via SHA-256 — no global RNG is touched, so enabling chaos
@@ -185,15 +147,15 @@ class ChaosConfig:
         return self._unit("truncate", tester, engine, seed) < self.rate
 
     def heartbeat_stall(self, key: CellKey, attempt: int) -> bool:
-        """Service chaos: suppress this lease attempt's worker heartbeats.
+        """Suppress this lease attempt's worker heartbeats.
 
         The worker keeps running the cell normally but never reports a
         heartbeat, so the scheduler's missed-heartbeat detector must revoke
-        the lease and requeue the cell — the failure detection path of
-        :mod:`repro.service` exercised without killing anything.  Drawn on
-        its own purpose key so it composes independently with
-        :meth:`directive` (a single attempt can be both stalled and, say,
-        crashed — whichever bites first).
+        the lease and requeue the cell — the failure detection path
+        exercised without killing anything.  Drawn on its own purpose key
+        so it composes independently with :meth:`directive` (a single
+        attempt can be both stalled and, say, crashed — whichever bites
+        first).
         """
         tester, engine, seed = key
         return self._unit("stall", tester, engine, seed, attempt) < self.rate
@@ -211,44 +173,6 @@ def _chaos_inject(directive: str, hang_seconds: float) -> None:
         raise RuntimeError("chaos: injected worker error")
 
 
-# -- outcome types --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """One failed cell attempt (yielded before any retry or quarantine)."""
-
-    key: CellKey
-    attempt: int
-    kind: str  # "exception" | "crash" | "timeout"
-    error: str
-    traceback_tail: str
-    will_retry: bool
-    backoff: float
-
-
-@dataclass
-class CellOutcome:
-    """The final word on one cell: a campaign result, or a quarantine."""
-
-    key: CellKey
-    attempts: int
-    campaign: Optional[Dict] = None
-    events: List[Dict] = field(default_factory=list)
-    quarantined: bool = False
-
-
-class CellFailedError(RuntimeError):
-    """A cell exhausted its retries and quarantine is disabled."""
-
-    def __init__(self, failure: CellFailure):
-        super().__init__(
-            f"cell {failure.key} failed after {failure.attempt} "
-            f"attempt(s): {failure.error}"
-        )
-        self.failure = failure
-
-
 def _describe_failure(exc: BaseException) -> Tuple[str, str]:
     """Serialize an exception into (one-line error, traceback tail)."""
     error = f"{type(exc).__name__}: {exc}"
@@ -259,15 +183,14 @@ def _describe_failure(exc: BaseException) -> Tuple[str, str]:
     return error, tail
 
 
-# -- worker entry points --------------------------------------------------
-
-
 def _run_cell_guarded(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Sandboxed worker entry point: never raises, always reports.
+    """Sandboxed attempt entry point: never raises, always reports.
 
-    Imports :func:`repro.runtime.parallel._run_cell` lazily — the parallel
-    module imports this one, and spawn-based workers should re-import only
-    on first use.
+    *task* carries the cell ``key``, its ``_run_cell`` ``spec``, the
+    ``attempt`` number and an optional chaos directive.  Resolves
+    :func:`repro.runtime.parallel._run_cell` at call time — the parallel
+    module imports this one, and spawn-based workers should re-import
+    only on first use.
     """
     key = tuple(task["key"])
     attempt = task["attempt"]
@@ -294,287 +217,3 @@ def _run_cell_guarded(task: Dict[str, Any]) -> Dict[str, Any]:
             "error": error,
             "traceback_tail": tail,
         }
-
-
-def _slot_main(conn, task: Dict[str, Any]) -> None:
-    """Entry point of a one-shot attempt process (slot mode)."""
-    _init_worker()
-    payload = _run_cell_guarded(task)
-    conn.send(payload)
-    conn.close()
-
-
-# -- the supervisor -------------------------------------------------------
-
-
-class CellSupervisor:
-    """Run cell tasks with sandboxing, watchdog, retries, and chaos.
-
-    Tasks are dicts with at least ``key`` (the cell key tuple) and
-    ``spec`` (the primitives-only worker spec consumed by
-    ``parallel._run_cell``).  :meth:`run` yields, in completion order:
-
-    * one :class:`CellFailure` per failed attempt, then
-    * one :class:`CellOutcome` per cell — carrying the campaign on
-      success, or ``quarantined=True`` after retries are exhausted.
-
-    With ``quarantine=False``, exhaustion raises :class:`CellFailedError`
-    (after the final :class:`CellFailure` has been yielded).
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cell_timeout: Optional[float] = None,
-        cell_retries: int = 0,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-        quarantine: bool = True,
-        chaos: Optional[Union[ChaosConfig, str, Tuple]] = None,
-    ):
-        self.jobs = max(1, int(jobs))
-        if chaos is not None and not isinstance(chaos, ChaosConfig):
-            chaos = (ChaosConfig.parse(chaos) if isinstance(chaos, str)
-                     else ChaosConfig(*chaos))
-        self.chaos = chaos
-        if cell_timeout is None and chaos is not None:
-            # Injected hangs must terminate even without an explicit
-            # timeout, or chaos mode could stall the very grid it tests.
-            cell_timeout = DEFAULT_CHAOS_TIMEOUT
-        self.cell_timeout = cell_timeout
-        self.cell_retries = max(0, int(cell_retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.quarantine = quarantine
-
-    # -- dispatch ---------------------------------------------------------
-
-    def run(
-        self, tasks: Sequence[Dict[str, Any]]
-    ) -> Iterator[Union[CellOutcome, CellFailure]]:
-        """Yield failures and outcomes for *tasks*, in completion order."""
-        tasks = [dict(task, attempt=1) for task in tasks]
-        if not tasks:
-            return
-        if self.cell_timeout is None and self.chaos is None:
-            if self.jobs == 1 or len(tasks) == 1:
-                yield from self._run_inline(tasks)
-            else:
-                yield from self._run_pool(tasks)
-        else:
-            # Termination semantics (watchdog, hard crashes) need a
-            # process per attempt: a pool task lost to a dead worker
-            # would block ``imap_unordered`` forever.
-            yield from self._run_slots(tasks)
-
-    # -- shared attempt accounting ----------------------------------------
-
-    def _armed(self, task: Dict[str, Any]) -> Dict[str, Any]:
-        """Attach this attempt's chaos directive (if any) to the task."""
-        if self.chaos is None:
-            return task
-        directive = self.chaos.directive(tuple(task["key"]),
-                                         task["attempt"])
-        if directive is None:
-            return task
-        return dict(task, chaos=directive,
-                    hang_seconds=self.chaos.hang_seconds)
-
-    def _settle(
-        self,
-        task: Dict[str, Any],
-        payload: Optional[Dict[str, Any]] = None,
-        kind: str = "exception",
-        error: str = "",
-        tail: str = "",
-    ) -> Tuple[List[Union[CellOutcome, CellFailure]],
-               Optional[Dict[str, Any]],
-               Optional[CellFailure]]:
-        """Turn one finished attempt into (yield items, retry task, fatal)."""
-        key: CellKey = tuple(task["key"])
-        attempt = task["attempt"]
-        if payload is not None and payload.get("status") == "ok":
-            outcome = CellOutcome(
-                key=key,
-                attempts=attempt,
-                campaign=payload["campaign"],
-                events=payload["events"],
-            )
-            return [outcome], None, None
-        if payload is not None:
-            kind = "exception"
-            error = payload["error"]
-            tail = payload["traceback_tail"]
-        will_retry = attempt <= self.cell_retries
-        backoff = (self.retry_backoff * 2 ** (attempt - 1)
-                   if will_retry else 0.0)
-        failure = CellFailure(
-            key=key,
-            attempt=attempt,
-            kind=kind,
-            error=error,
-            traceback_tail=tail,
-            will_retry=will_retry,
-            backoff=backoff,
-        )
-        items: List[Union[CellOutcome, CellFailure]] = [failure]
-        if will_retry:
-            return items, dict(task, attempt=attempt + 1), None
-        if self.quarantine:
-            items.append(
-                CellOutcome(key=key, attempts=attempt, quarantined=True)
-            )
-            return items, None, None
-        return items, None, failure
-
-    # -- inline mode ------------------------------------------------------
-
-    def _run_inline(self, tasks):
-        queue = deque(tasks)
-        while queue:
-            task = queue.popleft()
-            payload = _run_cell_guarded(task)
-            items, retry, fatal = self._settle(task, payload=payload)
-            yield from items
-            if fatal is not None:
-                raise CellFailedError(fatal)
-            if retry is not None:
-                time.sleep(items[0].backoff)
-                queue.append(retry)
-
-    # -- pool mode --------------------------------------------------------
-
-    def _run_pool(self, tasks):
-        context = mp_context()
-        pending = list(tasks)
-        with context.Pool(
-            processes=min(self.jobs, len(tasks)),
-            initializer=_init_worker,
-        ) as pool:
-            while pending:
-                batch = pending
-                pending = []
-                index = {(tuple(t["key"]), t["attempt"]): t for t in batch}
-                max_backoff = 0.0
-                # Completion order: checkpointing must not wait for
-                # head-of-line cells.
-                for payload in pool.imap_unordered(_run_cell_guarded,
-                                                   batch):
-                    task = index[(tuple(payload["key"]),
-                                  payload["attempt"])]
-                    items, retry, fatal = self._settle(task,
-                                                       payload=payload)
-                    yield from items
-                    if fatal is not None:
-                        raise CellFailedError(fatal)
-                    if retry is not None:
-                        pending.append(retry)
-                        max_backoff = max(max_backoff, items[0].backoff)
-                if pending and max_backoff:
-                    time.sleep(max_backoff)
-
-    # -- slot mode --------------------------------------------------------
-
-    def _run_slots(self, tasks):
-        context = mp_context()
-        queue = deque(tasks)
-        waiting: List[Tuple[float, Dict[str, Any]]] = []
-        running: List[Tuple[Any, Any, Dict[str, Any], Optional[float]]] = []
-        try:
-            while queue or waiting or running:
-                now = time.monotonic()
-                still_waiting = []
-                for ready_at, task in waiting:
-                    if ready_at <= now:
-                        queue.append(task)
-                    else:
-                        still_waiting.append((ready_at, task))
-                waiting = still_waiting
-
-                while queue and len(running) < self.jobs:
-                    task = queue.popleft()
-                    parent_conn, child_conn = context.Pipe(duplex=False)
-                    proc = context.Process(
-                        target=_slot_main,
-                        args=(child_conn, self._armed(task)),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    deadline = (time.monotonic() + self.cell_timeout
-                                if self.cell_timeout is not None else None)
-                    running.append((proc, parent_conn, task, deadline))
-
-                progressed = False
-                survivors = []
-                for proc, conn, task, deadline in running:
-                    payload = None
-                    failed: Optional[Tuple[str, str]] = None
-                    if conn.poll(0):
-                        try:
-                            payload = conn.recv()
-                        except EOFError:
-                            failed = ("crash",
-                                      "worker died before reporting "
-                                      "a result")
-                    elif not proc.is_alive():
-                        # The process exited; drain any result racing the
-                        # exit before declaring a crash.
-                        if conn.poll(0.05):
-                            try:
-                                payload = conn.recv()
-                            except EOFError:
-                                failed = ("crash",
-                                          "worker died before reporting "
-                                          "a result")
-                        else:
-                            failed = (
-                                "crash",
-                                "worker exited with code "
-                                f"{proc.exitcode} before reporting "
-                                "a result",
-                            )
-                    elif deadline is not None and now >= deadline:
-                        proc.terminate()
-                        proc.join(1.0)
-                        if proc.is_alive():
-                            proc.kill()
-                            proc.join(1.0)
-                        failed = (
-                            "timeout",
-                            f"cell exceeded the {self.cell_timeout:g}s "
-                            "watchdog timeout; worker terminated",
-                        )
-                    if payload is None and failed is None:
-                        survivors.append((proc, conn, task, deadline))
-                        continue
-                    progressed = True
-                    proc.join(5.0)
-                    conn.close()
-                    if payload is not None:
-                        items, retry, fatal = self._settle(task,
-                                                           payload=payload)
-                    else:
-                        items, retry, fatal = self._settle(
-                            task, kind=failed[0], error=failed[1]
-                        )
-                    yield from items
-                    if fatal is not None:
-                        raise CellFailedError(fatal)
-                    if retry is not None:
-                        waiting.append(
-                            (time.monotonic() + items[0].backoff, retry)
-                        )
-                running = survivors
-                if not progressed:
-                    time.sleep(0.01)
-        finally:
-            # Interrupt / early-exit hygiene: never leak attempt processes.
-            for proc, conn, _task, _deadline in running:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(0.5)
-                    if proc.is_alive():
-                        proc.kill()
-                try:
-                    conn.close()
-                except OSError:
-                    pass

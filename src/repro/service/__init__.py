@@ -12,7 +12,8 @@ Layers (each importable on its own):
 
 * :mod:`repro.service.spec` — job specs, validation, grid decomposition;
 * :mod:`repro.service.worker` — the per-lease worker process entry point;
-* :mod:`repro.service.scheduler` — leases, heartbeats, retries, recovery;
+* :mod:`repro.service.scheduler` — leases, heartbeats, retries, recovery
+  (also the in-process engine behind every ``campaign``/``compare`` grid);
 * :mod:`repro.service.server` — the asyncio HTTP face (``repro serve``);
 * :mod:`repro.service.client` — the urllib client (``repro submit`` …).
 
@@ -24,6 +25,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import (
     Backpressure,
     CampaignScheduler,
+    JournalError,
     ServiceDraining,
     replay_service_journal,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "Backpressure",
     "CampaignScheduler",
     "JobSpec",
+    "JournalError",
     "ServiceClient",
     "ServiceError",
     "ServiceDraining",

@@ -122,6 +122,10 @@ class JobSpec:
             **self.config.to_dict(),
         }
 
+    def worker_specs(self) -> List[Dict[str, Any]]:
+        """The ``_run_cell`` worker spec of every cell (see :meth:`cells`)."""
+        return [cell.worker_spec() for cell in self.cells()]
+
     def cells(self) -> List[Any]:
         """Decompose into grid cells — the same path the CLI grid takes.
 

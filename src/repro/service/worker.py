@@ -1,12 +1,12 @@
-"""The lease worker: one process per leased cell, with a heartbeat.
+"""The lease worker: one process per leased cell attempt, with a heartbeat.
 
-A lease worker is the service-side twin of the supervisor's slot process
-(:func:`repro.runtime.supervisor._slot_main`): it runs exactly one cell
-attempt through the sandboxed :func:`_run_cell_guarded` entry point and
-reports the payload over a pipe.  The difference is *liveness*: while the
-cell runs, a daemon thread reports a heartbeat every ``heartbeat_seconds``
-so the scheduler can distinguish "slow but alive" from "dead or wedged"
-without waiting out the full lease.
+Every cell attempt the scheduler (:mod:`repro.service.scheduler`) does not
+run in process runs here: exactly one attempt through the sandboxed
+:func:`repro.runtime.supervisor._run_cell_guarded` entry point, reporting
+the payload over a pipe.  While the cell runs against a bounded lease, a
+daemon thread reports a heartbeat every ``heartbeat_seconds`` so the
+scheduler can distinguish "slow but alive" from "dead or wedged" without
+waiting out the full lease.
 
 Messages on the pipe are dicts tagged by ``type``:
 
@@ -59,7 +59,7 @@ def _reset_inherited_signals() -> None:
 
 def _heartbeat_loop(conn, task: Dict[str, Any],
                     stop: threading.Event) -> None:
-    interval = float(task.get("heartbeat_seconds", 1.0))
+    interval = float(task["heartbeat_seconds"])
     beat = {
         "type": "heartbeat",
         "key": list(task["key"]),
@@ -75,13 +75,14 @@ def _heartbeat_loop(conn, task: Dict[str, Any],
 def lease_worker_main(conn, task: Dict[str, Any]) -> None:
     """Entry point of a lease worker process.
 
-    *task* carries the cell ``key``/``spec``/``attempt`` (supervisor task
-    shape) plus ``heartbeat_seconds`` and the optional chaos switches.
+    *task* carries the cell ``key``/``spec``/``attempt``, the
+    ``heartbeat_seconds`` interval (None: an unbounded lease, no beats)
+    and the optional chaos switches.
     """
     _reset_inherited_signals()
     _init_worker()
     stop = threading.Event()
-    if not task.get("stall_heartbeats"):
+    if task.get("heartbeat_seconds") and not task.get("stall_heartbeats"):
         thread = threading.Thread(
             target=_heartbeat_loop, args=(conn, task, stop), daemon=True
         )

@@ -17,7 +17,7 @@ import pytest
 from repro.core.reporting import campaign_to_dict, load_event_stream
 from repro.core.runner import GQSTester
 from repro.experiments.campaign import run_campaign_grid, run_tool_campaign
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.runtime import (
     ADAPTIVE_STRATEGIES,
     AdaptivePolicy,
@@ -205,7 +205,8 @@ class TestScheduleDeterminism:
 class TestKernelIntegration:
     def _run(self, adaptive):
         log = EventLog()
-        engine = create_engine("falkordb", gate_scale=GATE)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=GATE))
         tester = GQSTester()
         if adaptive:
             attach_adaptive_policy(tester, adaptive)
@@ -242,7 +243,8 @@ class TestKernelIntegration:
         # Adaptation off: the widened policy API must reproduce the blind
         # kernel byte-for-byte, including through run_tool_campaign.
         direct = GQSTester().run(
-            create_engine("falkordb", gate_scale=GATE), BUDGET, seed=11
+            create_engine("falkordb", options=EngineOptions(gate_scale=GATE)),
+            BUDGET, seed=11,
         )
         via_campaign = run_tool_campaign(
             "GQS", "falkordb", budget_seconds=BUDGET, seed=11,
@@ -332,7 +334,8 @@ class TestMergeAndRender:
         from repro.obs import render_stats
 
         log = EventLog()
-        engine = create_engine("falkordb", gate_scale=GATE)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=GATE))
         tester = GQSTester()
         attach_adaptive_policy(tester, "epsilon")
         CampaignKernel(events=log).run(tester, engine, BUDGET, seed=2)
@@ -346,7 +349,8 @@ class TestMergeAndRender:
 
         log = EventLog()
         CampaignKernel(events=log).run(
-            GQSTester(), create_engine("falkordb", gate_scale=GATE),
+            GQSTester(), create_engine("falkordb",
+                                       options=EngineOptions(gate_scale=GATE)),
             BUDGET, seed=2,
         )
         assert "== adaptation ==" not in render_stats(log.events)

@@ -24,13 +24,13 @@ from repro.cypher.parser import parse_query
 from repro.cypher.printer import print_query
 from repro.engine.binding import ResultSet
 from repro.engine.executor import Executor
-from repro.gdb import ReferenceGDB, create_engine
+from repro.gdb import EngineOptions, ReferenceGDB, create_engine
 from repro.graph.generator import GraphGenerator
 from repro.graph.model import PropertyGraph
 
 
 def clean_engine(name="neo4j"):
-    engine = create_engine(name, faults_enabled=False)
+    engine = create_engine(name, options=EngineOptions(faults_enabled=False))
     return engine
 
 
@@ -274,7 +274,8 @@ class TestNoFalsePositives:
 class TestDetection:
     def test_gdsmith_detects_single_engine_fault(self):
         """A fault present in one engine only shows up as a discrepancy."""
-        target = create_engine("falkordb", gate_scale=0.0)
+        target = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         others = [clean_engine("neo4j"), clean_engine("memgraph")]
         tester = GDsmithTester(others)
         result = tester.run(target, budget_seconds=60.0, seed=8)
@@ -314,7 +315,8 @@ class TestDetection:
 
     def test_replay_interface(self):
         """§5.4.3: feeding a bug-triggering query to a baseline oracle."""
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         graph = GraphGenerator(seed=12).generate()
         engine.load_graph(graph, None)
         tester = GDBMeterTester()
@@ -335,7 +337,8 @@ class TestPaperScenarios:
         from repro.gdb.catalog import faults_for
         from repro.graph.generator import GraphGenerator
 
-        engine = create_engine("memgraph", gate_scale=0.0)
+        engine = create_engine("memgraph",
+                               options=EngineOptions(gate_scale=0.0))
         # Keep only the Figure 16 fault to avoid interference.
         engine.faults = [
             f for f in faults_for("memgraph") if f.fault_id == "memgraph-L2"
@@ -370,7 +373,8 @@ class TestPaperScenarios:
         from repro.gdb.catalog import faults_for
         from repro.graph.generator import GraphGenerator
 
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         engine.faults = [
             f for f in faults_for("falkordb") if f.fault_id == "falkordb-L2"
         ]

@@ -3,20 +3,22 @@
 
 from repro.baselines import GDBMeterTester
 from repro.core.runner import GQSTester
-from repro.gdb import create_engine, faults_for
+from repro.gdb import EngineOptions, create_engine, faults_for
 
 
 class TestRestartPolicy:
     def test_gqs_restarts_per_graph(self):
         """GQS's session counter never accumulates across graphs."""
-        engine = create_engine("falkordb", faults_enabled=False)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(faults_enabled=False))
         GQSTester().run(engine, budget_seconds=20.0, seed=1)
         # Each graph is loaded with restart=True, so the counter only holds
         # the queries since the *last* graph.
         assert engine.queries_since_restart < engine.total_queries
 
     def test_baselines_keep_one_session(self):
-        engine = create_engine("falkordb", faults_enabled=False)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(faults_enabled=False))
         GDBMeterTester().run(engine, budget_seconds=20.0, seed=1)
         # Continuous session: every executed query is still counted.
         assert engine.queries_since_restart == engine.total_queries
@@ -35,16 +37,18 @@ class TestRestartPolicy:
 
 class TestGateScaleSemantics:
     def test_scale_shortens_time_to_first_bug(self):
-        slow = create_engine("memgraph", gate_scale=1.0)
-        fast = create_engine("memgraph", gate_scale=0.01)
+        slow = create_engine("memgraph", options=EngineOptions(gate_scale=1.0))
+        fast = create_engine("memgraph",
+                             options=EngineOptions(gate_scale=0.01))
         slow_result = GQSTester().run(slow, budget_seconds=30.0, seed=3)
         fast_result = GQSTester().run(fast, budget_seconds=30.0, seed=3)
         assert len(fast_result.detected_faults) >= len(slow_result.detected_faults)
 
     def test_open_gates_fire_on_matching_features_only(self):
         """gate_scale=0 opens every gate but never invents feature matches."""
-        engine = create_engine("neo4j", gate_scale=0.0)
-        graph_engine = create_engine("neo4j", gate_scale=0.0)
+        engine = create_engine("neo4j", options=EngineOptions(gate_scale=0.0))
+        graph_engine = create_engine("neo4j",
+                                     options=EngineOptions(gate_scale=0.0))
         from repro.graph.generator import GraphGenerator
 
         graph = GraphGenerator(seed=4).generate()
@@ -59,10 +63,13 @@ class TestFalsePositiveAccounting:
         """§5.4.3: ~98% of GDsmith's reports are false alarms."""
         from repro.baselines import GDsmithTester
 
-        target = create_engine("neo4j", faults_enabled=False)
+        target = create_engine("neo4j",
+                               options=EngineOptions(faults_enabled=False))
         others = [
-            create_engine("memgraph", faults_enabled=False),
-            create_engine("falkordb", faults_enabled=False),
+            create_engine("memgraph",
+                          options=EngineOptions(faults_enabled=False)),
+            create_engine("falkordb",
+                          options=EngineOptions(faults_enabled=False)),
         ]
         tester = GDsmithTester(others)
         result = tester.run(target, budget_seconds=100.0, seed=5)
@@ -72,6 +79,7 @@ class TestFalsePositiveAccounting:
 
     def test_gqs_never_reports_on_clean_engines(self):
         for name in ("neo4j", "memgraph", "kuzu", "falkordb"):
-            engine = create_engine(name, faults_enabled=False)
+            engine = create_engine(name,
+                                   options=EngineOptions(faults_enabled=False))
             result = GQSTester().run(engine, budget_seconds=15.0, seed=6)
             assert result.reports == [], name

@@ -167,11 +167,19 @@ class TestCoverageSchema:
             COVERAGE_SCHEMA_VERSION
         )
 
-    def test_unstamped_snapshots_accepted_for_back_compat(self):
-        # Event logs written before the stamp carry no ``schema`` key.
+    def test_unstamped_snapshots_rejected_naming_the_cell(self):
+        # A snapshot without a ``schema`` key is refused, not guessed at.
+        from repro.obs import CoverageSchemaError
+
         legacy = {k: v for k, v in self.snap().items() if k != "schema"}
-        assert merge_coverage_snapshots([legacy])["queries"] == 1
-        assert coverage_curve(legacy) == [(1, coverage_curve(legacy)[0][1])]
+        legacy.update(tester="GRev", seed=7)
+        for read in (lambda: merge_coverage_snapshots([legacy]),
+                     lambda: coverage_curve(legacy)):
+            with pytest.raises(CoverageSchemaError) as exc_info:
+                read()
+            assert exc_info.value.cell == "GRev/falkordb/7"
+            assert exc_info.value.found is None
+            assert "GRev/falkordb/7" in str(exc_info.value)
 
     def test_merge_rejects_mismatched_version_naming_the_cell(self):
         from repro.obs import CoverageSchemaError

@@ -2,8 +2,8 @@
 
 The redesign folds the former scatter of engine keyword arguments
 (``faults_enabled`` / ``gate_scale`` / ``restart`` / ``execution_mode``)
-into one frozen dataclass accepted everywhere engines are built, while the
-old keywords keep working and override the corresponding option field.
+into one frozen dataclass accepted everywhere engines are built; the old
+keywords are gone.
 """
 
 import pytest
@@ -35,16 +35,6 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match="unknown execution mode"):
             EngineOptions(execution_mode="quantum")
 
-    def test_merged_applies_only_non_none_overrides(self):
-        base = EngineOptions(gate_scale=0.25, faults_enabled=False)
-        assert base.merged() is base
-        merged = base.merged(gate_scale=0.5, restart=False)
-        assert merged == EngineOptions(
-            faults_enabled=False, gate_scale=0.5, restart=False
-        )
-        # False is a real override, not "unset".
-        assert base.merged(faults_enabled=False).faults_enabled is False
-
 
 class TestEngineConstruction:
     def test_create_engine_accepts_options(self):
@@ -57,22 +47,23 @@ class TestEngineConstruction:
         assert engine.faults_enabled is True
 
     def test_legacy_kwargs_equal_options_form(self):
-        via_kwargs = create_engine(
-            "neo4j", faults_enabled=False, gate_scale=0.1
+        via_keyword = create_engine(
+            "neo4j", options=EngineOptions(faults_enabled=False,
+                                           gate_scale=0.1)
         )
         via_options = create_engine(
             "neo4j", EngineOptions(faults_enabled=False, gate_scale=0.1)
         )
-        assert via_kwargs.options == via_options.options
-        assert via_kwargs.gate_scale == via_options.gate_scale == 0.1
-        assert via_kwargs.faults_enabled is via_options.faults_enabled is False
+        assert via_keyword.options == via_options.options
+        assert via_keyword.gate_scale == via_options.gate_scale == 0.1
+        assert via_keyword.faults_enabled is via_options.faults_enabled is False
 
-    def test_legacy_kwargs_override_options(self):
-        engine = create_engine(
-            "kuzu", EngineOptions(gate_scale=0.5), gate_scale=0.05
-        )
-        assert engine.gate_scale == 0.05
-        assert engine.options.gate_scale == 0.05
+    def test_legacy_kwargs_rejected(self):
+        # Tuning arrives only as an EngineOptions value.
+        with pytest.raises(TypeError):
+            create_engine("neo4j", faults_enabled=False, gate_scale=0.1)
+        with pytest.raises(TypeError):
+            FalkorDBSim(gate_scale=0.5)
 
     def test_positional_scalars_still_rejected(self):
         # The scalar tuning flags remain keyword-only; the options slot
@@ -98,14 +89,15 @@ class TestEngineConstruction:
         from repro.core.reporting import campaign_to_dict
         from repro.core.runner import GQSTester
 
-        legacy = GQSTester().run(
-            create_engine("falkordb", gate_scale=0.05), 5.0, seed=4
+        keyword = GQSTester().run(
+            create_engine("falkordb", options=EngineOptions(gate_scale=0.05)),
+            5.0, seed=4,
         )
-        unified = GQSTester().run(
+        positional = GQSTester().run(
             create_engine("falkordb", EngineOptions(gate_scale=0.05)),
             5.0, seed=4,
         )
-        assert campaign_to_dict(legacy) == campaign_to_dict(unified)
+        assert campaign_to_dict(keyword) == campaign_to_dict(positional)
 
 
 class TestEngineSpecBridge:
@@ -114,7 +106,7 @@ class TestEngineSpecBridge:
             faults_enabled=False, gate_scale=0.2, execution_mode="dual"
         )
         spec = EngineSpec.from_options("memgraph", options)
-        assert spec.options() == options.merged()  # restart is not shipped
+        assert spec.options() == options  # restart is not shipped
         engine = spec.create()
         assert engine.name == "memgraph"
         assert engine.faults_enabled is False

@@ -10,6 +10,7 @@ from repro.engine.errors import (
 )
 from repro.gdb import (
     ALL_ENGINE_NAMES,
+    EngineOptions,
     ReferenceGDB,
     create_engine,
     faults_for,
@@ -24,7 +25,8 @@ def loaded():
     schema, graph = generator.generate_with_schema()
     engines = {}
     for name in ALL_ENGINE_NAMES:
-        engine = create_engine(name, faults_enabled=False)
+        engine = create_engine(name,
+                               options=EngineOptions(faults_enabled=False))
         engine.load_graph(graph, schema)
         engines[name] = engine
     return graph, schema, engines
@@ -171,7 +173,8 @@ class TestFaultInjection:
     def test_faults_disabled_engine_is_correct(self):
         generator = GraphGenerator(seed=6)
         schema, graph = generator.generate_with_schema()
-        clean = create_engine("falkordb", faults_enabled=False)
+        clean = create_engine("falkordb",
+                              options=EngineOptions(faults_enabled=False))
         clean.load_graph(graph, schema)
         query = "UNWIND [1,2,3] AS a0 MATCH (n) WHERE n.id = 0 RETURN a0"
         assert len(clean.execute(query)) == 3
@@ -180,7 +183,9 @@ class TestFaultInjection:
     def test_crash_requires_restart(self):
         generator = GraphGenerator(seed=2)
         schema, graph = generator.generate_with_schema()
-        engine = create_engine("falkordb", gate_scale=0.0)  # every gate open
+        # Every gate open.
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         engine.load_graph(graph, schema)
         engine.queries_since_restart = 10**6  # long session
         query = "MATCH (n) WHERE n.id = 0 RETURN n.id AS v"
@@ -197,7 +202,8 @@ class TestFaultInjection:
         """Figure 9: replace with an empty search string."""
         generator = GraphGenerator(seed=2)
         schema, graph = generator.generate_with_schema()
-        engine = create_engine("memgraph", gate_scale=0.0)
+        engine = create_engine("memgraph",
+                               options=EngineOptions(gate_scale=0.0))
         engine.load_graph(graph, schema)
         with pytest.raises(ResourceExhausted):
             engine.execute("WITH replace('ts15G', '', 'U11sWFvRw') AS a0 RETURN a0")
@@ -206,7 +212,8 @@ class TestFaultInjection:
         """Reproducibility: a faulty engine answers deterministically."""
         generator = GraphGenerator(seed=9)
         schema, graph = generator.generate_with_schema()
-        engine = create_engine("falkordb", gate_scale=0.2)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.2))
         engine.load_graph(graph, schema)
         query = (
             "MATCH (a)-[r]-(b) WHERE a.id = 0 "

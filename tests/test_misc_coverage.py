@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.graph.generator import GraphGenerator
 
 
@@ -40,7 +40,8 @@ class TestDriverFormatting:
     def test_list_rendering_recurses(self):
         from repro.engine.binding import ResultSet
 
-        engine = create_engine("falkordb", faults_enabled=False)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(faults_enabled=False))
         result = ResultSet(["x"], [([1.23456789012, "a"],)])
         rendered = engine.format_result(result)
         assert rendered[0][0].startswith("[1.23457")  # 6-digit driver output
@@ -48,7 +49,8 @@ class TestDriverFormatting:
     def test_full_precision_engines(self):
         from repro.engine.binding import ResultSet
 
-        engine = create_engine("neo4j", faults_enabled=False)
+        engine = create_engine("neo4j",
+                               options=EngineOptions(faults_enabled=False))
         result = ResultSet(["x"], [(1.23456789012,)])
         assert engine.format_result(result) == [["1.23456789012"]]
 
@@ -57,7 +59,8 @@ class TestTriggerRecordStats:
     def test_graph_sizes_recorded(self):
         from repro.core.runner import GQSTester
 
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         result = GQSTester().run(engine, budget_seconds=15.0, seed=9)
         assert result.trigger_records
         for record in result.trigger_records:

@@ -15,7 +15,7 @@ from repro.core.reporting import load_event_stream
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherRuntimeError
 from repro.experiments.campaign import run_campaign_grid, run_tool_campaign
-from repro.gdb import EngineSpec, create_engine
+from repro.gdb import EngineOptions, EngineSpec, create_engine
 from repro.gdb.engines import FalkorDBSim, GraphDatabase, Neo4jSim, Session
 from repro.graph.generator import GraphGenerator
 from repro.obs import (
@@ -227,7 +227,8 @@ class TestSessionAPI:
 
     def test_session_runs_queries(self, graph_schema):
         schema, graph = graph_schema
-        engine = create_engine("neo4j", faults_enabled=False)
+        engine = create_engine("neo4j",
+                               options=EngineOptions(faults_enabled=False))
         with engine.session(graph, schema) as session:
             result = session.run("MATCH (n) RETURN count(*) AS c")
             assert result.rows[0][0] == graph.node_count
@@ -237,7 +238,8 @@ class TestSessionAPI:
 
     def test_closed_session_raises(self, graph_schema):
         schema, graph = graph_schema
-        engine = create_engine("neo4j", faults_enabled=False)
+        engine = create_engine("neo4j",
+                               options=EngineOptions(faults_enabled=False))
         session = engine.session(graph, schema)
         session.close()
         with pytest.raises(CypherRuntimeError):
@@ -245,7 +247,8 @@ class TestSessionAPI:
 
     def test_session_without_graph_keeps_state(self, graph_schema):
         schema, graph = graph_schema
-        engine = create_engine("falkordb", faults_enabled=False)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(faults_enabled=False))
         engine.load_graph(graph, schema)
         engine.execute("RETURN 1 AS x")
         with engine.session() as session:  # no graph: reuse what is loaded
@@ -254,7 +257,8 @@ class TestSessionAPI:
 
     def test_session_restart_false_keeps_counter(self, graph_schema):
         schema, graph = graph_schema
-        engine = create_engine("falkordb", faults_enabled=False)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(faults_enabled=False))
         engine.load_graph(graph, schema)
         engine.execute("RETURN 1 AS x")
         with engine.session(graph, schema, restart=False) as session:
@@ -302,7 +306,8 @@ class TestKeywordOnlyAPI:
 
 class TestResultSetToTable:
     def test_format_result_delegates_to_to_table(self):
-        engine = create_engine("neo4j", faults_enabled=False)
+        engine = create_engine("neo4j",
+                               options=EngineOptions(faults_enabled=False))
         result = ResultSet(["x"], [(1.5,), ([1, "a"],)])
         assert engine.format_result(result) == result.to_table(engine.dialect)
 

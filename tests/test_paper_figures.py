@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.oracle import check_result
 from repro.cypher.parser import parse_query
-from repro.gdb import ReferenceGDB, create_engine, faults_for
+from repro.gdb import EngineOptions, ReferenceGDB, create_engine, faults_for
 from repro.graph.generator import GraphGenerator
 
 
 def engine_with_only(name, fault_id):
-    engine = create_engine(name, gate_scale=0.0)
+    engine = create_engine(name, options=EngineOptions(gate_scale=0.0))
     engine.faults = [f for f in faults_for(name) if f.fault_id == fault_id]
     return engine
 

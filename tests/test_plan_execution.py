@@ -21,7 +21,7 @@ from repro.cypher.parser import parse_query
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherError, PlanDivergenceError
 from repro.engine.plan import PlanCache
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.gdb.engines import EngineSpec
 from repro.graph import GraphGenerator
 from repro.graph.model import PropertyGraph
@@ -43,8 +43,10 @@ def _outcome(engine, text):
 def _mode_pair(name, mode, **kwargs):
     """(interpreted, *mode*) engine pair of the same simulated engine."""
     return (
-        create_engine(name, execution_mode="interpreted", **kwargs),
-        create_engine(name, execution_mode=mode, **kwargs),
+        create_engine(name, options=EngineOptions(
+            execution_mode="interpreted", **kwargs)),
+        create_engine(name, options=EngineOptions(
+            execution_mode=mode, **kwargs)),
     )
 
 
@@ -177,8 +179,8 @@ class TestIndexCorrectnessUnderFaults:
 
 class TestPlanCacheKeying:
     def test_identical_text_hits_after_one_compile(self):
-        engine = create_engine("falkordb", faults_enabled=False,
-                               execution_mode="compiled")
+        engine = create_engine("falkordb", options=EngineOptions(
+            faults_enabled=False, execution_mode="compiled"))
         graph = PropertyGraph()
         graph.add_node(["Person"], {"id": 0})
         engine.load_graph(graph)
@@ -193,8 +195,8 @@ class TestPlanCacheKeying:
         # Plans resolve the graph through the execution context, so the
         # cache is engine-lifetime state: reloading (the campaign does it
         # per generated graph) must not recompile known shapes.
-        engine = create_engine("falkordb", faults_enabled=False,
-                               execution_mode="compiled")
+        engine = create_engine("falkordb", options=EngineOptions(
+            faults_enabled=False, execution_mode="compiled"))
         graph = PropertyGraph()
         graph.add_node(["Person"], {"id": 0})
         engine.load_graph(graph)
@@ -233,8 +235,8 @@ class TestPlanCacheKeying:
 
 class TestDualModeContract:
     def _engine_with_wrong_plan(self, wrong_result=None, error=None):
-        engine = create_engine("falkordb", faults_enabled=False,
-                               execution_mode="dual")
+        engine = create_engine("falkordb", options=EngineOptions(
+            faults_enabled=False, execution_mode="dual"))
         graph = PropertyGraph()
         graph.add_node(["Person"], {"id": 0})
         engine.load_graph(graph)
@@ -274,8 +276,8 @@ class TestDualModeContract:
         assert not issubclass(PlanDivergenceError, CypherError)
 
     def test_agreeing_dual_returns_interpreted_result(self):
-        engine = create_engine("falkordb", faults_enabled=False,
-                               execution_mode="dual")
+        engine = create_engine("falkordb", options=EngineOptions(
+            faults_enabled=False, execution_mode="dual"))
         graph = PropertyGraph()
         graph.add_node(["Person"], {"id": 0})
         engine.load_graph(graph)
@@ -286,7 +288,8 @@ class TestDualModeContract:
 class TestModeThreading:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            create_engine("falkordb", execution_mode="vectorized")
+            create_engine("falkordb",
+                          options=EngineOptions(execution_mode="vectorized"))
 
     def test_engine_spec_round_trips_mode(self):
         spec = EngineSpec("kuzu", execution_mode="dual")
@@ -303,8 +306,8 @@ class TestModeThreading:
 
         cell = CampaignCell("GQS", "falkordb", 0,
                             CellConfig(1.0, execution_mode="compiled"))
-        task = ParallelCampaignRunner(jobs=1)._task(cell)
-        assert task["spec"]["config"]["execution_mode"] == "compiled"
+        spec = ParallelCampaignRunner(jobs=1)._spec(cell)
+        assert spec["config"]["execution_mode"] == "compiled"
 
     def test_cli_exposes_engine_mode(self):
         from repro.cli import build_parser

@@ -17,12 +17,12 @@ from repro.core.reporting import (
 )
 from repro.core.runner import GQSTester
 from repro.runtime.results import BugReport, CampaignResult
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    engine = create_engine("falkordb", gate_scale=0.05)
+    engine = create_engine("falkordb", options=EngineOptions(gate_scale=0.05))
     return GQSTester().run(engine, budget_seconds=20.0, seed=4)
 
 

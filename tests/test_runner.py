@@ -3,7 +3,7 @@
 
 from repro.core.runner import GQSTester, synthesizer_config_for
 from repro.runtime.results import BugReport, CampaignResult
-from repro.gdb import ReferenceGDB, create_engine
+from repro.gdb import EngineOptions, ReferenceGDB, create_engine
 
 
 class TestSynthesizerConfigForDialect:
@@ -35,7 +35,8 @@ class TestCampaign:
         assert result.queries_run > 20
 
     def test_detects_faults_with_open_gates(self):
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         tester = GQSTester()
         result = tester.run(engine, budget_seconds=30.0, seed=1)
         assert len(result.detected_faults) >= 3
@@ -56,7 +57,8 @@ class TestCampaign:
         assert result.queries_run == 25
 
     def test_timeline_is_monotone_and_unique(self):
-        engine = create_engine("memgraph", gate_scale=0.05)
+        engine = create_engine("memgraph",
+                               options=EngineOptions(gate_scale=0.05))
         result = GQSTester().run(engine, budget_seconds=60.0, seed=4)
         times = [when for when, _fid in result.timeline]
         assert times == sorted(times)
@@ -64,7 +66,8 @@ class TestCampaign:
         assert len(fault_ids) == len(set(fault_ids))
 
     def test_trigger_records_capture_metrics(self):
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         result = GQSTester().run(engine, budget_seconds=30.0, seed=5)
         assert result.trigger_records
         record = result.trigger_records[0]
@@ -73,7 +76,8 @@ class TestCampaign:
             assert key in record
 
     def test_reports_carry_queries(self):
-        engine = create_engine("falkordb", gate_scale=0.0)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=0.0))
         result = GQSTester().run(engine, budget_seconds=20.0, seed=6)
         for report in result.reports:
             assert report.query_text
@@ -81,19 +85,21 @@ class TestCampaign:
 
     def test_deterministic_given_seed(self):
         a = GQSTester().run(
-            create_engine("kuzu", gate_scale=0.1), budget_seconds=20.0, seed=7
+            create_engine("kuzu", options=EngineOptions(gate_scale=0.1)),
+            budget_seconds=20.0, seed=7,
         )
         b = GQSTester().run(
-            create_engine("kuzu", gate_scale=0.1), budget_seconds=20.0, seed=7
+            create_engine("kuzu", options=EngineOptions(gate_scale=0.1)),
+            budget_seconds=20.0, seed=7,
         )
         assert a.detected_faults == b.detected_faults
         assert a.queries_run == b.queries_run
 
     def test_crash_recovery(self):
         """The campaign restarts crashed instances and keeps testing."""
-        from repro.gdb import faults_for
+        from repro.gdb import EngineOptions, faults_for
 
-        engine = create_engine("kuzu", gate_scale=0.0)
+        engine = create_engine("kuzu", options=EngineOptions(gate_scale=0.0))
         # Leave only the crash fault so logic faults cannot mask it.
         engine.faults = [
             fault for fault in faults_for("kuzu") if fault.fault_id == "kuzu-O1"

@@ -13,7 +13,7 @@ from repro.baselines.common import BaselineTester
 from repro.baselines.gdsmith import GDsmithTester
 from repro.core.reporting import campaign_to_dict
 from repro.core.runner import GQSTester
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.graph.generator import GeneratorConfig
 from repro.runtime import (
     BugReport,
@@ -220,14 +220,17 @@ class TestRealTestersRouteThroughKernel:
 
     def test_gqs_campaign_is_deterministic_through_kernel(self):
         def one():
-            engine = create_engine("falkordb", gate_scale=0.05)
+            engine = create_engine("falkordb",
+                                   options=EngineOptions(gate_scale=0.05))
             return campaign_to_dict(GQSTester().run(engine, 15.0, seed=3))
 
         assert one() == one()
 
     def test_kernel_and_convenience_run_agree(self):
-        engine_a = create_engine("neo4j", gate_scale=0.05)
-        engine_b = create_engine("neo4j", gate_scale=0.05)
+        engine_a = create_engine("neo4j",
+                                 options=EngineOptions(gate_scale=0.05))
+        engine_b = create_engine("neo4j",
+                                 options=EngineOptions(gate_scale=0.05))
         direct = CampaignKernel().run(GQSTester(), engine_a, 10.0, seed=5)
         convenience = GQSTester().run(engine_b, 10.0, seed=5)
         assert campaign_to_dict(direct) == campaign_to_dict(convenience)

@@ -164,8 +164,8 @@ class TestJobSpec:
         (inline_cell,) = campaign_grid_cells(
             ("GQS",), (ENGINE,), budget_seconds=3.0, record_metrics=True,
         )
-        task = ParallelCampaignRunner(jobs=1)._task(inline_cell)
-        assert service_cell.spec == task["spec"]
+        spec = ParallelCampaignRunner(jobs=1)._spec(inline_cell)
+        assert service_cell.spec == spec
 
 
 # -- journal replay ---------------------------------------------------------

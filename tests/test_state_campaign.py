@@ -17,7 +17,7 @@ from repro.experiments.campaign import (
     run_campaign_grid,
     run_tool_campaign,
 )
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.obs.recorder import (
     BUNDLE_FORMAT,
     BUNDLE_FORMAT_V2,
@@ -35,7 +35,7 @@ ENGINES = ("neo4j", "memgraph", "kuzu", "falkordb")
 
 
 def run_stateful(engine_name, recorder=None, budget=BUDGET, ratio=0.6):
-    engine = create_engine(engine_name, gate_scale=GATE)
+    engine = create_engine(engine_name, options=EngineOptions(gate_scale=GATE))
     tester = StatefulGQSTester(stateful_ratio=ratio)
     kernel = CampaignKernel(recorder=recorder)
     return kernel.run(tester, engine, budget, seed=SEED)
@@ -120,7 +120,8 @@ class TestSequenceBundles:
         """A read-only GQS campaign keeps producing v1 bundles."""
         from repro.core.runner import GQSTester
 
-        engine = create_engine("falkordb", gate_scale=GATE)
+        engine = create_engine("falkordb",
+                               options=EngineOptions(gate_scale=GATE))
         recorder = FlightRecorder(tmp_path)
         CampaignKernel(recorder=recorder).run(
             GQSTester(), engine, BUDGET, seed=SEED

@@ -13,7 +13,7 @@ import pytest
 from repro.core.runner import synthesizer_config_for
 from repro.cypher.parser import parse_query
 from repro.cypher.printer import print_query
-from repro.gdb import create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.gdb.catalog import all_faults, gqs_scope_faults
 from repro.gdb.state_effects import StateEffect
 from repro.graph import GraphGenerator
@@ -255,7 +255,8 @@ class TestStateEffects:
 
 class TestWriteFallbackCounter:
     def test_compiled_mode_counts_write_fallbacks(self):
-        engine = create_engine("neo4j", execution_mode="compiled")
+        engine = create_engine(
+            "neo4j", options=EngineOptions(execution_mode="compiled"))
         engine.load_graph(fresh_graph())
         engine.execute(parse_query("CREATE (n:X {id: 1000001})"))
         stats = engine._plan_cache.drain()
@@ -264,7 +265,8 @@ class TestWriteFallbackCounter:
         assert engine._plan_cache.write_fallbacks == 0
 
     def test_dual_mode_silent_on_writes(self):
-        engine = create_engine("neo4j", execution_mode="dual")
+        engine = create_engine("neo4j",
+                               options=EngineOptions(execution_mode="dual"))
         engine.load_graph(fresh_graph())
         engine.execute(parse_query("CREATE (n:X {id: 1000001})"))
         # Dual mode flushes no plan counters at all (its observable stream

@@ -1,4 +1,5 @@
-"""Robustness tests: cell supervisor, resource envelope, chaos harness.
+"""Robustness tests: grid attempts on the scheduler, resource envelope,
+chaos harness.
 
 The acceptance bar (ISSUE 5): a grid with injected worker crashes, hangs,
 and budget-blowing queries completes with every healthy cell byte-identical
@@ -25,13 +26,12 @@ from repro.gdb import create_engine
 from repro.runtime import (
     CampaignCell,
     CellConfig,
-    CellFailedError,
-    CellSupervisor,
     ChaosConfig,
     EventLog,
     ParallelCampaignRunner,
 )
 from repro.runtime.supervisor import DEFAULT_CHAOS_TIMEOUT
+from repro.service.scheduler import CampaignScheduler
 
 ENGINE = "falkordb"
 
@@ -217,11 +217,12 @@ class TestChaosConfig:
         assert all(always.truncates(k) for k in keys)
 
     def test_chaos_implies_default_timeout(self):
-        supervisor = CellSupervisor(chaos=ChaosConfig(rate=0.2))
-        assert supervisor.cell_timeout == DEFAULT_CHAOS_TIMEOUT
-        explicit = CellSupervisor(chaos=ChaosConfig(rate=0.2),
-                                  cell_timeout=3.0)
-        assert explicit.cell_timeout == 3.0
+        scheduler = CampaignScheduler(EventLog(), lease_seconds=None,
+                                      chaos=ChaosConfig(rate=0.2))
+        assert scheduler.lease_seconds == DEFAULT_CHAOS_TIMEOUT
+        explicit = CampaignScheduler(EventLog(), lease_seconds=3.0,
+                                     chaos=ChaosConfig(rate=0.2))
+        assert explicit.lease_seconds == 3.0
 
 
 # -- sandboxing, retries, quarantine ---------------------------------------
@@ -262,24 +263,13 @@ class TestSandbox:
         (grid_end,) = (e for e in events if e["event"] == "grid_end")
         assert grid_end["completed"] == 1 and grid_end["quarantined"] == 1
 
-    def test_quarantine_false_raises_after_final_failure(self, tmp_path):
-        grid = [CampaignCell("NoSuchTester", ENGINE, 0, CellConfig(2.0))]
-        runner = ParallelCampaignRunner(
-            jobs=1, events_path=tmp_path / "grid.jsonl", quarantine=False,
-        )
-        with pytest.raises(CellFailedError, match="NoSuchTester"):
-            runner.run(grid)
-        # The final attempt was still logged before the raise.
-        events = load_event_stream(tmp_path / "grid.jsonl")
-        assert "cell_failed" in kinds_of(events)
-
     def test_completion_order_checkpoint_survives_earlier_cell_failing(
         self, tmp_path
     ):
-        # Grid order: the DOOMED cell first, the healthy cell second.  In
-        # pool mode with retries the healthy cell finishes while the first
-        # is still failing — its checkpoint must land anyway (the old
-        # head-of-line imap would have lost it).
+        # Grid order: the DOOMED cell first, the healthy cell second.  With
+        # two lease workers and retries the healthy cell finishes while the
+        # first is still failing — its checkpoint must land anyway (a
+        # head-of-line wait would have lost it).
         log_path = tmp_path / "grid.jsonl"
         grid = [
             CampaignCell("NoSuchTester", ENGINE, 0,
@@ -408,20 +398,28 @@ class TestPoolLifecycle:
         spawned = ParallelCampaignRunner(jobs=2).run(grid)
         assert fingerprint(spawned) == fingerprint(reference)
 
-    def test_supervisor_generator_close_reaps_slot_processes(self):
-        runner = ParallelCampaignRunner(jobs=1)
+    def test_interrupted_grid_reaps_lease_processes(self, monkeypatch):
+        # The consumer bails out mid-grid (an exception escapes the
+        # scheduler loop while a hung attempt holds its lease): the lease
+        # worker must not outlive the grid.
         chaos = ScriptedChaos(rate=1.0, hang_seconds=60.0,
                               script=("hang", "hang", "hang"))
-        supervisor = CellSupervisor(jobs=1, cell_timeout=1.0,
-                                    cell_retries=2, retry_backoff=0.0,
-                                    chaos=chaos)
-        stream = supervisor.run([runner._task(cells_for("GQS")[0])])
-        first = next(stream)  # one timed-out attempt (~1s)
-        assert first.kind == "timeout"
-        stream.close()  # consumer bails out mid-grid
+        tick = CampaignScheduler.tick
+
+        def interrupting_tick(scheduler, now=None):
+            tick(scheduler, now)
+            if scheduler._leases:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(CampaignScheduler, "tick", interrupting_tick)
+        with pytest.raises(KeyboardInterrupt):
+            ParallelCampaignRunner(
+                jobs=1, chaos=chaos, cell_timeout=30.0, cell_retries=2,
+                retry_backoff=0.0,
+            ).run(cells_for("GQS"))
         deadline = time.monotonic() + 5.0
         while multiprocessing.active_children():
-            assert time.monotonic() < deadline, "slot process leaked"
+            assert time.monotonic() < deadline, "lease process leaked"
             time.sleep(0.05)
 
     def test_sigint_mid_grid_leaves_resumable_log(self, tmp_path):
