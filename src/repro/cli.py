@@ -602,40 +602,41 @@ def _parse_chaos(args):
         return None
 
 
-def _load_events(path: str) -> Optional[list]:
+def _load_view(path: str):
+    """Fold the event log at *path* into a RunView (None if missing)."""
     from pathlib import Path
 
     from repro.core.reporting import load_event_stream
+    from repro.obs.view import RunView
 
     if not Path(path).exists():
         print(f"no such event log: {path}", file=sys.stderr)
         return None
-    return load_event_stream(path)
+    events = load_event_stream(path)
+    return RunView.of(events, skipped=events.skipped,
+                      torn=events.skipped_lines)
 
 
-def _warn_skipped(events) -> None:
+def _warn_skipped(view) -> None:
     """Warn when the log lost lines to truncation/tearing — and say where.
 
-    Each torn line is pinned to its byte offset and length (from
-    ``EventStream.skipped_lines``) so an operator can inspect the damage
-    with ``dd``/``tail -c`` instead of guessing.
+    Each torn line is pinned to its byte offset and length so an operator
+    can inspect the damage with ``dd``/``tail -c`` instead of guessing.
     """
-    skipped = getattr(events, "skipped", 0)
-    if skipped:
+    if view.skipped:
         print(
-            f"warning: {skipped} torn/undecodable line(s) skipped — "
+            f"warning: {view.skipped} torn/undecodable line(s) skipped — "
             "the log was truncated mid-write; totals may undercount",
             file=sys.stderr,
         )
-        torn = list(getattr(events, "skipped_lines", ()))
-        for entry in torn[:8]:
+        for entry in view.torn[:8]:
             print(
                 f"  torn line at byte offset {entry['offset']} "
                 f"({entry['length']} byte(s))",
                 file=sys.stderr,
             )
-        if len(torn) > 8:
-            print(f"  ... and {len(torn) - 8} more", file=sys.stderr)
+        if len(view.torn) > 8:
+            print(f"  ... and {len(view.torn) - 8} more", file=sys.stderr)
 
 
 def _cmd_stats(args) -> int:
@@ -644,36 +645,29 @@ def _cmd_stats(args) -> int:
     from repro.obs import render_stats
     from repro.obs.export import stats_json
 
-    events = _load_events(args.events)
-    if events is None:
+    view = _load_view(args.events)
+    if view is None:
         return 2
-    _warn_skipped(events)
+    _warn_skipped(view)
     if args.format == "json":
-        print(json.dumps(
-            stats_json(
-                events,
-                skipped=getattr(events, "skipped", 0),
-                torn=list(getattr(events, "skipped_lines", ())),
-            ),
-            indent=2, sort_keys=True,
-        ))
+        print(json.dumps(stats_json(view), indent=2, sort_keys=True))
         return 0
-    print(render_stats(events))
+    print(render_stats(view))
     return 0
 
 
 def _cmd_trace(args) -> int:
     from repro.obs import render_trace
 
-    events = _load_events(args.events)
-    if events is None:
+    view = _load_view(args.events)
+    if view is None:
         return 2
     if args.export == "chrome":
         import json
 
         from repro.obs.export import chrome_trace
 
-        payload = json.dumps(chrome_trace(events), indent=2, sort_keys=True)
+        payload = json.dumps(chrome_trace(view), indent=2, sort_keys=True)
         if args.out:
             from pathlib import Path
 
@@ -682,7 +676,7 @@ def _cmd_trace(args) -> int:
         else:
             print(payload)
         return 0
-    print(render_trace(events))
+    print(render_trace(view))
     return 0
 
 
@@ -701,10 +695,10 @@ def _cmd_watch(args) -> int:
     if args.once:
         follower.poll()
         if args.format == "json":
-            print(json.dumps(watch_json(follower), indent=2,
+            print(json.dumps(watch_json(follower.view), indent=2,
                              sort_keys=True))
         else:
-            print(render_watch(follower))
+            print(render_watch(follower.view, path=args.events))
         return 0
     interval = max(args.interval, 0.05)
     last_queries = 0
@@ -713,23 +707,22 @@ def _cmd_watch(args) -> int:
     try:
         while True:
             follower.poll()
+            view = follower.view
             now = time.monotonic()
             if now > last_time:
-                rate = (follower.total_queries - last_queries) / (
-                    now - last_time
-                )
-            last_queries, last_time = follower.total_queries, now
+                rate = (view.queries - last_queries) / (now - last_time)
+            last_queries, last_time = view.queries, now
             if args.format == "json":
                 # One compact snapshot per line: a machine-tailable feed.
-                print(json.dumps(watch_json(follower, rate=rate),
+                print(json.dumps(watch_json(view, rate=rate),
                                  sort_keys=True, separators=(",", ":")))
                 sys.stdout.flush()
             else:
                 # Refresh in place: home the cursor, repaint, clear the rest.
-                frame = render_watch(follower, rate=rate)
+                frame = render_watch(view, path=args.events, rate=rate)
                 sys.stdout.write("\x1b[H" + frame + "\x1b[J\n")
                 sys.stdout.flush()
-            if follower.finished:
+            if view.finished:
                 return 0
             time.sleep(interval)
     except KeyboardInterrupt:
@@ -742,18 +735,14 @@ def _cmd_report(args) -> int:
 
     from repro.obs.export import html_report
 
-    events = _load_events(args.events)
-    if events is None:
+    view = _load_view(args.events)
+    if view is None:
         return 2
-    _warn_skipped(events)
+    _warn_skipped(view)
     source = Path(args.events)
     out = Path(args.out) if args.out else source.with_suffix(".html")
     title = args.title or f"repro campaign report — {source.name}"
-    out.write_text(
-        html_report(events, title=title,
-                    skipped=getattr(events, "skipped", 0)),
-        encoding="utf-8",
-    )
+    out.write_text(html_report(view, title=title), encoding="utf-8")
     print(f"report written to {out}")
     return 0
 
@@ -761,27 +750,27 @@ def _cmd_report(args) -> int:
 def _cmd_coverage(args) -> int:
     from repro.obs import render_coverage
 
-    events = _load_events(args.events)
-    if events is None:
+    view = _load_view(args.events)
+    if view is None:
         return 2
-    print(render_coverage(events))
+    print(render_coverage(view))
     return 0
 
 
 def _cmd_bugs(args) -> int:
     from repro.obs import render_bugs
 
-    events = _load_events(args.events)
-    if events is None:
+    view = _load_view(args.events)
+    if view is None:
         return 2
     if args.format == "json":
         import json
 
         from repro.obs.export import bugs_json
 
-        print(json.dumps(bugs_json(events), indent=2, sort_keys=True))
+        print(json.dumps(bugs_json(view), indent=2, sort_keys=True))
         return 0
-    print(render_bugs(events))
+    print(render_bugs(view))
     return 0
 
 

@@ -13,6 +13,9 @@ runtime that accounting as a first-class subsystem:
 * :mod:`repro.obs.probe` — the process-wide :data:`PROBE` switch the hot
   paths guard on; **no-op by default**, scoped enable via
   :func:`observed`;
+* :mod:`repro.obs.view` — :class:`~repro.obs.view.RunView`, the one
+  fold over a recorded or growing event log that every view renders
+  (imported on first use, so the runtime does not load it);
 * :mod:`repro.obs.render` — ``repro stats`` / ``repro trace`` renderers
   that turn any recorded event log into a profile.
 
@@ -31,7 +34,7 @@ synthesized queries exercise, and which discrepancies are the same bug:
 A third tier makes the telemetry *live* and *portable*:
 
 * :mod:`repro.obs.follow` — :class:`EventFollower`, an incremental
-  torn-line-tolerant tailer over the JSONL event stream, plus the
+  torn-line-tolerant tailer that feeds a ``RunView``, plus the
   ``repro watch`` rolling view (the read side of the event-stream wire
   protocol);
 * :mod:`repro.obs.profile` — the PROBE-gated per-operator profile of the
@@ -98,13 +101,10 @@ from repro.obs.recorder import (
     replay_bundle,
 )
 from repro.obs.render import (
-    adaptation_snapshots_in,
-    merged_snapshot_from_events,
     render_bugs,
     render_coverage,
     render_stats,
     render_trace,
-    supervisor_counts,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.obs.triage import (
@@ -125,7 +125,6 @@ __all__ = [
     "EventFollower",
     "OperatorProfile",
     "PROFILE_STEP_CEILING",
-    "adaptation_snapshots_in",
     "bugs_json",
     "chrome_trace",
     "compare_json",
@@ -134,7 +133,6 @@ __all__ = [
     "render_profile",
     "render_watch",
     "stats_json",
-    "supervisor_counts",
     "FlightRecorder",
     "ReplayOutcome",
     "coverage_curve",
@@ -165,7 +163,6 @@ __all__ = [
     "disable",
     "enable",
     "merge_snapshots",
-    "merged_snapshot_from_events",
     "metric_key",
     "observed",
     "render_stats",

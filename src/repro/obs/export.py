@@ -1,7 +1,8 @@
 """Portable exports of a recorded event log: trace, JSON, HTML.
 
 Everything ``repro stats``/``trace``/``bugs``/``compare`` can render as
-text, this module serializes for machines and browsers:
+text, this module serializes for machines and browsers, from the same
+:class:`repro.obs.view.RunView`:
 
 * :func:`chrome_trace` — the span samples as Chrome trace-event JSON
   (``chrome://tracing`` / Perfetto).  Spans deliberately carry no absolute
@@ -21,21 +22,13 @@ text, this module serializes for machines and browsers:
 from __future__ import annotations
 
 import html as _html
-from typing import Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.obs.coverage import merge_coverage_snapshots
-from repro.obs.metrics import split_metric_key
 from repro.obs.profile import profile_rows
-from repro.obs.render import (
-    coverage_snapshots_in,
-    merged_snapshot_from_events,
-    render_bugs,
-    render_stats,
-    render_trace,
-    supervisor_counts,
-    triage_snapshots_in,
-)
-from repro.obs.triage import merge_triage_snapshots
+from repro.obs.render import render_bugs, render_stats, render_trace
+
+if TYPE_CHECKING:
+    from repro.obs.view import RunView
 
 __all__ = [
     "EXPORT_SCHEMA_VERSION",
@@ -56,14 +49,14 @@ EXPORT_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def chrome_trace(events: Iterable[Event]) -> Dict[str, Any]:
+def chrome_trace(view: "RunView") -> Dict[str, Any]:
     """Span events as a Chrome trace-event JSON object.
 
     One ``pid`` (the campaign), one ``tid`` per grid cell, complete
     (``ph="X"``) events on the simulated clock in µs.  A log without span
     events yields an empty (but valid) trace.
     """
-    spans = [e for e in events if e.get("event") == "span"]
+    spans = view.spans
     cells = sorted({str(span.get("cell", "?")) for span in spans})
     tid_for = {cell: index + 1 for index, cell in enumerate(cells)}
     trace_events: List[Dict[str, Any]] = []
@@ -119,77 +112,41 @@ def chrome_trace(events: Iterable[Event]) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _counter_matrix(
-    counters: Dict[str, Any], name: str, row_label: str, col_label: str
-) -> Dict[str, Dict[str, int]]:
-    """``name|row,col`` counters as nested dicts (rows sorted by key)."""
-    matrix: Dict[str, Dict[str, int]] = {}
-    for key, value in counters.items():
-        base, labels = split_metric_key(key)
-        if base != name or row_label not in labels or col_label not in labels:
-            continue
-        matrix.setdefault(labels[row_label], {})[labels[col_label]] = value
-    return {row: dict(sorted(cols.items()))
-            for row, cols in sorted(matrix.items())}
-
-
-def stats_json(
-    events: Iterable[Event],
-    *,
-    skipped: int = 0,
-    torn: Optional[List[Dict[str, int]]] = None,
-) -> Dict[str, Any]:
+def stats_json(view: "RunView") -> Dict[str, Any]:
     """The machine-readable twin of ``repro stats``.
 
-    *torn* optionally carries the byte-accurate skipped-line account from
-    :func:`repro.core.reporting.load_event_stream` (``.skipped_lines``) —
-    each entry pins one undecodable journal line to its byte ``offset``
-    and ``length`` so consumers can audit exactly where a log lost data.
+    ``torn_lines`` pins each undecodable journal line to its byte
+    ``offset`` and ``length`` so consumers can audit exactly where a log
+    lost data.
     """
-    events = list(events)
-    snapshot = merged_snapshot_from_events(events)
-    counters = snapshot.get("counters", {})
+    snapshot = view.metrics
     return {
         "schema": EXPORT_SCHEMA_VERSION,
-        "events": len(events),
-        "skipped_lines": skipped,
-        "torn_lines": list(torn or ()),
-        "queries": _counter_matrix(
-            counters, "campaign.queries", "tester", "engine"
-        ),
-        "faults": _counter_matrix(
-            counters, "campaign.faults", "tester", "engine"
-        ),
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(snapshot.get("gauges", {}).items())),
-        "histograms": dict(sorted(snapshot.get("histograms", {}).items())),
-        "timings": dict(sorted(snapshot.get("timings", {}).items())),
+        "events": view.events,
+        "skipped_lines": view.skipped,
+        "torn_lines": list(view.torn),
+        "queries": view.matrix("campaign.queries"),
+        "faults": view.matrix("campaign.faults"),
+        "counters": snapshot["counters"],
+        "gauges": snapshot["gauges"],
+        "histograms": snapshot["histograms"],
+        "timings": snapshot["timings"],
         "profile": profile_rows(snapshot),
-        "supervisor": supervisor_counts(events),
+        "supervisor": view.supervisor,
     }
 
 
-def bugs_json(events: Iterable[Event]) -> Dict[str, Any]:
+def bugs_json(view: "RunView") -> Dict[str, Any]:
     """The machine-readable twin of ``repro bugs``."""
-    events = list(events)
-    snapshots = triage_snapshots_in(events)
-    merged = (
-        merge_triage_snapshots([event["snapshot"] for event in snapshots])
-        if snapshots else {"distinct": 0, "occurrences": 0, "bugs": {}}
-    )
-    bundles = [
-        {"path": event.get("path"), "signature": event.get("signature")}
-        for event in sorted(
-            (e for e in events if e.get("event") == "bundle"),
-            key=lambda e: str(e.get("path", "")),
-        )
-    ]
+    merged = view.triage or {"occurrences": 0, "bugs": {}}
     return {
         "schema": EXPORT_SCHEMA_VERSION,
-        "distinct": merged["distinct"],
+        "distinct": len(view.distinct_bugs),
         "occurrences": merged["occurrences"],
-        "bugs": {sig: merged["bugs"][sig] for sig in sorted(merged["bugs"])},
-        "bundles": bundles,
+        "bugs": merged["bugs"],
+        "bundles": [{"path": event.get("path"),
+                     "signature": event.get("signature")}
+                    for event in view.bundles],
     }
 
 
@@ -267,29 +224,14 @@ def _table(headers: List[str], rows: List[List[Any]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def html_report(
-    events: Iterable[Event],
-    *,
-    title: str = "repro campaign report",
-    skipped: int = 0,
-) -> str:
+def html_report(view: "RunView", *, title: str = "repro campaign report") -> str:
     """A self-contained static HTML report for one event log.
 
     Works on any log — sections without data are simply omitted.  The
     output references no external resources, so the file can be archived
     or attached to a bug report as-is.
     """
-    events = list(events)
-    snapshot = merged_snapshot_from_events(events)
-    counters = snapshot.get("counters", {})
-    total_queries = sum(
-        value for key, value in counters.items()
-        if split_metric_key(key)[0] == "campaign.queries"
-    )
-    bugs = bugs_json(events)
-    cells = sum(1 for e in events if e.get("event") == "cell_complete") or sum(
-        1 for e in events if e.get("event") == "campaign_end"
-    )
+    bugs = bugs_json(view)
 
     parts: List[str] = [
         "<!DOCTYPE html>",
@@ -298,19 +240,19 @@ def html_report(
         f"<style>{_REPORT_CSS}</style></head><body>",
         f"<h1>{_esc(title)}</h1>",
         '<div class="summary">'
-        f"<span><b>{len(events)}</b> events</span>"
-        f"<span><b>{cells}</b> campaign(s)</span>"
-        f"<span><b>{total_queries}</b> queries</span>"
+        f"<span><b>{view.events}</b> events</span>"
+        f"<span><b>{view.cells_done}</b> campaign(s)</span>"
+        f"<span><b>{view.queries}</b> queries</span>"
         f"<span><b>{bugs['distinct']}</b> distinct bug(s)</span>"
         "</div>",
     ]
-    if skipped:
+    if view.skipped:
         parts.append(
-            f'<p class="warn">warning: {skipped} torn/undecodable line(s) '
+            f'<p class="warn">warning: {view.skipped} torn/undecodable line(s) '
             "skipped while reading the log</p>"
         )
 
-    queries = _counter_matrix(counters, "campaign.queries", "tester", "engine")
+    queries = view.matrix("campaign.queries")
     if queries:
         engines = sorted({e for row in queries.values() for e in row})
         parts.append("<h2>Queries per tester × engine</h2>")
@@ -320,11 +262,8 @@ def html_report(
              for tester in queries],
         ))
 
-    coverage_snaps = coverage_snapshots_in(events)
-    if coverage_snaps:
-        merged = merge_coverage_snapshots(
-            [event["snapshot"] for event in coverage_snaps]
-        )
+    merged = view.coverage
+    if merged is not None:
         parts.append("<h2>Coverage</h2>")
         parts.append(
             f"<p>{len(merged['features'])} distinct features over "
@@ -356,7 +295,7 @@ def html_report(
                 [[b["path"], b["signature"]] for b in bugs["bundles"]],
             ))
 
-    profile = [r for r in profile_rows(snapshot)
+    profile = [r for r in profile_rows(view.metrics)
                if r["invocations"] or r["steps"] or r["seconds"] is not None]
     if profile:
         parts.append("<h2>Operator profile (compiled engine)</h2>")
@@ -371,15 +310,15 @@ def html_report(
             ],
         ))
 
-    stats_text = render_stats(events)
+    stats_text = render_stats(view)
     if "no metrics events" not in stats_text:
         parts.append("<h2>Full stats</h2>")
         parts.append(f"<pre>{_esc(stats_text)}</pre>")
-    trace_text = render_trace(events)
+    trace_text = render_trace(view)
     if "no span events" not in trace_text:
         parts.append("<h2>Span tree</h2>")
         parts.append(f"<pre>{_esc(trace_text)}</pre>")
-    bugs_text = render_bugs(events)
+    bugs_text = render_bugs(view)
     if "no triage events" not in bugs_text:
         parts.append("<h2>Triage</h2>")
         parts.append(f"<pre>{_esc(bugs_text)}</pre>")

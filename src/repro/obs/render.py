@@ -1,39 +1,34 @@
-"""Turn a recorded campaign event log into a profile.
+"""Text renderers of a recorded campaign event log.
 
-``repro stats`` and ``repro trace`` both operate on the JSONL event stream
-that every campaign/grid run can append to (``--events``): ``stats`` merges
-the ``metrics`` snapshots and renders per-stage time histograms plus the
-per-tester×engine query accounting; ``trace`` rebuilds the span tree from
-``span`` events and renders it aggregated by stage name.  ``repro
-coverage`` and ``repro bugs`` render the second observability tier —
-``coverage`` events (query-feature coverage, :mod:`repro.obs.coverage`)
-and ``triage`` events (distinct-bug signatures, :mod:`repro.obs.triage`).
+``repro stats`` renders per-stage time histograms plus the per-tester×engine
+query accounting; ``repro trace`` the span tree aggregated by stage name;
+``repro coverage`` and ``repro bugs`` the second observability tier —
+query-feature coverage (:mod:`repro.obs.coverage`) and distinct-bug
+signatures (:mod:`repro.obs.triage`).
 
-All four work on *any* past run — profiling is a property of the log, not
-of the process that produced it.
+Each renders a :class:`repro.obs.view.RunView`, the one fold over the
+events, so it works on *any* past run and agrees with every other view.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.coverage import feature_kind, merge_coverage_snapshots
-from repro.obs.metrics import merge_snapshots, split_metric_key
-from repro.obs.triage import merge_triage_snapshots
+from repro.obs.metrics import split_metric_key
+
+if TYPE_CHECKING:
+    from repro.obs.view import RunView
+
+Event = Dict[str, Any]
 
 __all__ = [
-    "metrics_snapshots_in",
-    "merged_snapshot_from_events",
-    "coverage_snapshots_in",
-    "triage_snapshots_in",
-    "supervisor_counts",
+    "render_adaptation",
     "render_stats",
     "render_trace",
     "render_coverage",
     "render_bugs",
 ]
-
-Event = Dict[str, Any]
 
 
 def _format_seconds(value: Optional[float]) -> str:
@@ -44,26 +39,6 @@ def _format_seconds(value: Optional[float]) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.2f}ms"
     return f"{value * 1e6:.0f}µs"
-
-
-def metrics_snapshots_in(events: Iterable[Event]) -> List[Event]:
-    """The ``metrics`` events of a stream, campaign-scoped ones preferred.
-
-    A grid log carries one per-campaign snapshot per cell plus a final
-    merged grid snapshot; merging the per-campaign ones (and ignoring the
-    grid rollup) avoids double counting, while a log holding only a rollup
-    still renders.
-    """
-    all_metrics = [e for e in events if e.get("event") == "metrics"]
-    campaign_scoped = [e for e in all_metrics if e.get("scope") == "campaign"]
-    return campaign_scoped or all_metrics
-
-
-def merged_snapshot_from_events(events: Iterable[Event]) -> Dict[str, Any]:
-    """Merge every relevant metrics snapshot in an event stream."""
-    return merge_snapshots(
-        e["snapshot"] for e in metrics_snapshots_in(events)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,68 +69,23 @@ def _render_histogram(title: str, item: Dict[str, Any], unit: str) -> List[str]:
     return lines
 
 
-def _counter_table(
-    counters: Dict[str, Any], name: str, row_label: str, col_label: str
-) -> List[str]:
-    """Render ``name|<col_label>=..,<row_label>=..`` counters as a matrix."""
-    cells: Dict[Tuple[str, str], int] = {}
-    for key, value in counters.items():
-        base, labels = split_metric_key(key)
-        if base != name or row_label not in labels or col_label not in labels:
-            continue
-        cells[(labels[row_label], labels[col_label])] = value
-    if not cells:
+def _matrix_table(matrix: Dict[str, Dict[str, int]]) -> List[str]:
+    """A ``{row: {col: value}}`` matrix as aligned text (``-`` = absent)."""
+    if not matrix:
         return []
-    rows = sorted({r for r, _ in cells})
-    cols = sorted({c for _, c in cells})
+    cols = sorted({col for row in matrix.values() for col in row})
     width = max(len(c) for c in cols) + 2
-    row_width = max(len(r) for r in rows) + 2
+    row_width = max(len(r) for r in matrix) + 2
     lines = [" " * row_width + "".join(f"{c:>{width}s}" for c in cols)]
-    for r in rows:
-        line = f"{r:<{row_width}s}"
-        for c in cols:
-            value = cells.get((r, c))
-            line += f"{value if value is not None else '-':>{width}}"
-        lines.append(line)
+    for row, values in matrix.items():
+        lines.append(f"{row:<{row_width}s}" + "".join(
+            f"{values.get(col, '-'):>{width}}" for col in cols
+        ))
     return lines
 
 
-def supervisor_counts(events: Iterable[Event]) -> Dict[str, Any]:
-    """Supervisor health accounting from the raw event stream.
-
-    Works without ``--metrics``: failure/retry/quarantine accounting is
-    event-based, so any grid log carries its robustness story.  Shared by
-    the text renderer and the JSON export (:mod:`repro.obs.export`).
-    """
-    failed_by_kind: Dict[str, int] = {}
-    retries = quarantined = harness_errors = truncations = 0
-    for event in events:
-        kind = event.get("event")
-        if kind == "cell_failed":
-            failure_kind = event.get("kind", "exception")
-            failed_by_kind[failure_kind] = (
-                failed_by_kind.get(failure_kind, 0) + 1
-            )
-        elif kind == "cell_retry":
-            retries += 1
-        elif kind == "cell_quarantined":
-            quarantined += 1
-        elif kind == "harness_error":
-            harness_errors += 1
-        elif kind == "chaos":
-            truncations += 1
-    return {
-        "failed_by_kind": {k: failed_by_kind[k] for k in sorted(failed_by_kind)},
-        "retries": retries,
-        "quarantined": quarantined,
-        "harness_errors": harness_errors,
-        "chaos_truncations": truncations,
-    }
-
-
-def _render_supervisor(events: List[Event]) -> List[str]:
+def _render_supervisor(counts: Dict[str, Any]) -> List[str]:
     """The ``== supervisor ==`` lines (empty for a healthy log)."""
-    counts = supervisor_counts(events)
     lines: List[str] = []
     for failure_kind, n in counts["failed_by_kind"].items():
         lines.append(f"  failed attempts ({failure_kind}):{n:>9d}")
@@ -174,44 +104,10 @@ def _render_supervisor(events: List[Event]) -> List[str]:
     return lines
 
 
-def adaptation_snapshots_in(events: Iterable[Event]) -> List[Event]:
-    """Adaptation events to merge: campaign scope, else grid rollups."""
-    all_adapt = [e for e in events if e.get("event") == "adaptation"]
-    campaign_scoped = [e for e in all_adapt
-                       if e.get("scope") == "campaign"]
-    return campaign_scoped or all_adapt
-
-
-def _render_adaptation(events: List[Event]) -> List[str]:
-    """The ``== adaptation ==`` section: bandit counters per feature arm.
-
-    Works without ``--metrics`` — adaptation is event-based, emitted once
-    per adaptive campaign.  Campaign-scoped snapshots are merged here (the
-    grid barrier already merged its own rollup; preferring the per-cell
-    events keeps single-cell and resumed logs consistent).
-    """
-    snaps = adaptation_snapshots_in(events)
-    if not snaps:
+def render_adaptation(merged: Optional[Dict[str, Any]]) -> List[str]:
+    """The ``== adaptation ==`` lines: bandit counters per feature arm."""
+    if merged is None:
         return []
-    # Merge lazily: repro.obs must not import the runtime layer at module
-    # scope (the runtime kernel imports repro.obs).
-    from repro.runtime.adapt import merge_adaptation_snapshots
-
-    tagged = []
-    for event in snaps:
-        snapshot = dict(event.get("snapshot") or {})
-        if event.get("scope") == "campaign":
-            snapshot.setdefault("tester", event.get("tester"))
-            snapshot.setdefault("engine", event.get("engine"))
-            snapshot.setdefault("seed", event.get("seed"))
-            tagged.append(snapshot)
-        else:
-            # A grid rollup is already merged; render it as-is.
-            return _adaptation_lines(snapshot)
-    return _adaptation_lines(merge_adaptation_snapshots(tagged))
-
-
-def _adaptation_lines(merged: Dict[str, Any]) -> List[str]:
     strategies = merged.get("strategies") or (
         [merged["strategy"]] if merged.get("strategy") else []
     )
@@ -291,90 +187,44 @@ def _render_plans(counters: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def render_stats(events: Iterable[Event]) -> str:
+def render_stats(view: "RunView") -> str:
     """Per-stage time/sim histograms + query accounting for an event log."""
-    events = list(events)
-    snapshot = merged_snapshot_from_events(events)
-    lines: List[str] = []
-
-    timings = snapshot.get("timings", {})
-    stage_keys = [k for k in timings if split_metric_key(k)[0] == "stage.seconds"]
-    if stage_keys:
-        lines.append("== per-stage wall time ==")
-        for key in sorted(stage_keys):
-            _base, labels = split_metric_key(key)
-            lines.extend(
-                _render_histogram(
-                    f"stage {labels.get('stage', '?')}", timings[key], "s"
-                )
-            )
-        lines.append("")
-
-    histograms = snapshot.get("histograms", {})
-    sim_keys = [k for k in histograms
-                if split_metric_key(k)[0] == "stage.sim_seconds"]
-    if sim_keys:
-        lines.append("== per-stage simulated time ==")
-        for key in sorted(sim_keys):
-            _base, labels = split_metric_key(key)
-            lines.extend(
-                _render_histogram(
-                    f"stage {labels.get('stage', '?')} (sim)",
-                    histograms[key], "s",
-                )
-            )
-        lines.append("")
-
-    counters = snapshot.get("counters", {})
-    table = _counter_table(counters, "campaign.queries", "tester", "engine")
-    if table:
-        lines.append("== queries per tester × engine ==")
-        lines.extend(table)
-        lines.append("")
-    faults = _counter_table(counters, "campaign.faults", "tester", "engine")
-    if faults:
-        lines.append("== distinct faults per tester × engine ==")
-        lines.extend(faults)
-        lines.append("")
-
-    if snapshot.get("counters") or timings or histograms:
-        lines.append("== plans ==")
-        lines.extend(_render_plans(counters))
-        lines.append("")
-
     from repro.obs.profile import render_profile
 
-    profile_lines = render_profile(snapshot)
-    if profile_lines:
-        lines.append("== profile ==")
-        lines.extend(profile_lines)
-        lines.append("")
-
-    plain = {
-        key: value
-        for key, value in counters.items()
+    snapshot = view.metrics
+    counters = snapshot["counters"]
+    sections: List[Tuple[str, List[str]]] = []
+    for title, section, name, suffix in (
+        ("per-stage wall time", "timings", "stage.seconds", ""),
+        ("per-stage simulated time", "histograms", "stage.sim_seconds",
+         " (sim)"),
+    ):
+        store = snapshot[section]
+        sections.append((title, [
+            line
+            for key in sorted(store) if split_metric_key(key)[0] == name
+            for line in _render_histogram(
+                f"stage {split_metric_key(key)[1].get('stage', '?')}{suffix}",
+                store[key], "s",
+            )
+        ]))
+    sections.append(("queries per tester × engine",
+                     _matrix_table(view.matrix("campaign.queries"))))
+    sections.append(("distinct faults per tester × engine",
+                     _matrix_table(view.matrix("campaign.faults"))))
+    if counters or snapshot["timings"] or snapshot["histograms"]:
+        sections.append(("plans", _render_plans(counters)))
+    sections.append(("profile", render_profile(snapshot)))
+    sections.append(("counters", [
+        f"  {key:<44s} {counters[key]}" for key in sorted(counters)
         if split_metric_key(key)[0] not in ("campaign.queries",
                                             "campaign.faults")
-        and not split_metric_key(key)[0].startswith("plan.")
-    }
-    if plain:
-        lines.append("== counters ==")
-        for key in sorted(plain):
-            lines.append(f"  {key:<44s} {plain[key]}")
-        lines.append("")
-
-    supervisor_lines = _render_supervisor(events)
-    if supervisor_lines:
-        lines.append("== supervisor ==")
-        lines.extend(supervisor_lines)
-        lines.append("")
-
-    adaptation_lines = _render_adaptation(events)
-    if adaptation_lines:
-        lines.append("== adaptation ==")
-        lines.extend(adaptation_lines)
-        lines.append("")
-
+        and not key.startswith("plan.")
+    ]))
+    sections.append(("supervisor", _render_supervisor(view.supervisor)))
+    sections.append(("adaptation", render_adaptation(view.adaptation)))
+    lines = [line for title, body in sections if body
+             for line in (f"== {title} ==", *body, "")]
     if not lines:
         return (
             "no metrics events in log "
@@ -423,14 +273,14 @@ def _aggregate_spans(spans: List[Event]) -> Dict[str, _Agg]:
     return roots
 
 
-def render_trace(events: Iterable[Event]) -> str:
+def render_trace(view: "RunView") -> str:
     """Render the span tree of an event log, aggregated by stage name.
 
     Spans are grouped per grid cell (``cell`` attribute) and, within a
     cell, merged by name at each tree depth — a campaign's thousands of
     ``judge`` spans render as one line with count and totals.
     """
-    spans = [e for e in events if e.get("event") == "span"]
+    spans = view.spans
     if not spans:
         return (
             "no span events in log "
@@ -466,18 +316,6 @@ def render_trace(events: Iterable[Event]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def coverage_snapshots_in(events: Iterable[Event]) -> List[Event]:
-    """The ``coverage`` events of a stream, campaign-scoped ones preferred.
-
-    Same double-counting rule as :func:`metrics_snapshots_in`: a grid log
-    carries one per-cell snapshot per campaign plus a merged grid rollup;
-    per-cell snapshots win when present.
-    """
-    all_cov = [e for e in events if e.get("event") == "coverage"]
-    campaign_scoped = [e for e in all_cov if e.get("scope") == "campaign"]
-    return campaign_scoped or all_cov
-
-
 def _feature_family_rows(features: Dict[str, Any]) -> List[Tuple[str, int, int]]:
     """(family, distinct features, total occurrences) rows, sorted."""
     distinct: Dict[str, int] = {}
@@ -507,9 +345,9 @@ def _render_curve(curve: List[Any], width: int = 48) -> List[str]:
     return lines
 
 
-def render_coverage(events: Iterable[Event]) -> str:
+def render_coverage(view: "RunView") -> str:
     """Per-tester feature-coverage tables + the coverage-vs-queries curve."""
-    snapshots = coverage_snapshots_in(events)
+    snapshots = view.snapshots("coverage")
     if not snapshots:
         return (
             "no coverage events in log "
@@ -537,9 +375,7 @@ def render_coverage(events: Iterable[Event]) -> str:
             lines.append(f"  {family:<10s} {n_distinct:>9d} {n_occ:>12d}")
         lines.append("")
 
-    overall = merge_coverage_snapshots(
-        [event["snapshot"] for event in snapshots]
-    )
+    overall = view.coverage
     lines.append(
         f"== coverage over time ({len(overall['features'])} features / "
         f"{overall['queries']} queries) =="
@@ -553,25 +389,14 @@ def render_coverage(events: Iterable[Event]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def triage_snapshots_in(events: Iterable[Event]) -> List[Event]:
-    """The ``triage`` events of a stream, campaign-scoped ones preferred."""
-    all_triage = [e for e in events if e.get("event") == "triage"]
-    campaign_scoped = [e for e in all_triage if e.get("scope") == "campaign"]
-    return campaign_scoped or all_triage
-
-
-def render_bugs(events: Iterable[Event]) -> str:
+def render_bugs(view: "RunView") -> str:
     """The distinct-bug table of an event log, one row per signature."""
-    events = list(events)
-    snapshots = triage_snapshots_in(events)
-    if not snapshots:
+    merged = view.triage
+    if merged is None:
         return (
             "no triage events in log "
             "(re-run with --triage / CampaignKernel(record_triage=True))"
         )
-    merged = merge_triage_snapshots(
-        [event["snapshot"] for event in snapshots]
-    )
     bugs = merged["bugs"]
     lines = [
         f"{merged['distinct']} distinct bug(s), "
@@ -593,11 +418,11 @@ def render_bugs(events: Iterable[Event]) -> str:
                 f"{str(first.get('query', '-')):>12s}  "
                 + ",".join(entry.get("testers", []))
             )
-    bundles = [e for e in events if e.get("event") == "bundle"]
+    bundles = view.bundles
     if bundles:
         lines.append("")
         lines.append(f"{len(bundles)} repro bundle(s):")
-        for event in sorted(bundles, key=lambda e: str(e.get("path", ""))):
+        for event in bundles:
             lines.append(
                 f"  {event.get('path', '?')}  [{event.get('signature', '?')}]"
             )

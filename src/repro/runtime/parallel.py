@@ -63,9 +63,6 @@ __all__ = [
 
 CellKey = Tuple[str, str, int]
 
-#: Snapshot-carrying event kinds merged at the grid barrier.
-_SNAPSHOT_KINDS = ("metrics", "coverage", "triage", "adaptation")
-
 
 def derive_cell_seed(tester: str, engine: str, seed: int) -> int:
     """Deterministic per-cell seed, stable across worker counts and runs.
@@ -295,7 +292,7 @@ class ParallelCampaignRunner:
         prior: List[Dict] = []
         if resume_path is not None and Path(resume_path).exists():
             prior = load_event_stream(resume_path)
-        done, snapshots = _fold(prior, keys)
+        done, snapshots, _ = _fold(prior, keys)
         pending = [cell for cell in cells if cell.key not in done]
         record_metrics = any(cell.config.record_metrics for cell in cells)
         with EventLog(self.events_path, record_spans=record_metrics) as log:
@@ -318,11 +315,10 @@ class ParallelCampaignRunner:
                 finally:
                     scheduler.close()
             ran = log.events[first:]
-            fresh, fresh_snapshots = _fold(ran, keys)
+            fresh, fresh_snapshots, view = _fold(ran, keys)
             done.update(fresh)
-            for kind, by_key in fresh_snapshots.items():
-                snapshots[kind].update(by_key)
-            stats = _supervisor_stats(ran)
+            snapshots.update(fresh_snapshots)
+            stats = _supervisor_stats(view.supervisor)
             _emit_barriers(log, keys, snapshots, stats, record_metrics)
             log.emit("grid_end", cells=len(keys), completed=len(done),
                      quarantined=stats["quarantined"])
@@ -335,37 +331,31 @@ class ParallelCampaignRunner:
 
 
 def _fold(events: Sequence[Dict], keys: Sequence[CellKey]):
-    """(results, snapshots) of the grid cells a log checkpointed.
+    """(results, snapshots, view) of the grid cells a log checkpointed.
 
     Checkpoints come from the scheduler's journal replay (the last one of
-    a cell wins); snapshots are the campaign-scope observability
-    snapshots of those cells, by kind and cell, so barrier merges fold
-    them in grid order no matter the completion order — the byte-identity
-    invariant across job counts.
+    a cell wins); snapshots are what the log's
+    :class:`~repro.obs.view.RunView` counts for those cells — the
+    campaign-scope snapshots each cell's last checkpoint sealed — keyed
+    by cell, so barrier merges fold them in grid order no matter the
+    completion order (the byte-identity invariant across job counts).
     """
     from repro.core.reporting import campaign_from_dict
+    from repro.obs.view import SNAPSHOT_KINDS, RunView
     from repro.service.scheduler import replay_service_journal
 
     recorded = replay_service_journal(events)["cells"]
     done = {key: campaign_from_dict(recorded[key]["campaign"])
             for key in keys if key in recorded}
-    snapshots: Dict[str, Dict[CellKey, List[Dict]]] = {
-        kind: {} for kind in _SNAPSHOT_KINDS
-    }
-    for event in events:
-        kind = event.get("event")
-        key = (event.get("tester"), event.get("engine"), event.get("seed"))
-        if (kind in snapshots and event.get("scope") == "campaign"
-                and key in done):
-            snapshots[kind].setdefault(key, []).append(event["snapshot"])
-    return done, snapshots
+    view = RunView.of(events)
+    snapshots = {key: {kind: view.sealed_snapshots(kind, key)
+                       for kind in SNAPSHOT_KINDS}
+                 for key in done}
+    return done, snapshots, view
 
 
-def _supervisor_stats(events: Sequence[Dict]) -> Dict[str, int]:
-    """Failure accounting of one grid run, from its own events."""
-    from repro.obs.render import supervisor_counts
-
-    counts = supervisor_counts(events)
+def _supervisor_stats(counts: Dict[str, Any]) -> Dict[str, int]:
+    """Failure accounting of one grid run, from its view's counts."""
     failed = counts["failed_by_kind"]
     return {"failed": sum(failed.values()), "retried": counts["retries"],
             "timeouts": failed.get("timeout", 0),
@@ -377,7 +367,7 @@ def _supervisor_stats(events: Sequence[Dict]) -> Dict[str, int]:
 def _emit_barriers(
     log: EventLog,
     keys: Sequence[CellKey],
-    snapshots: Dict[str, Dict[CellKey, List[Dict]]],
+    snapshots: Dict[CellKey, Dict[str, List[Dict]]],
     stats: Dict[str, int],
     record_metrics: bool,
 ) -> None:
@@ -398,23 +388,19 @@ def _emit_barriers(
     from repro.runtime.adapt import merge_adaptation_snapshots
 
     troubled = stats["failed"] or stats["quarantined"] or stats["truncated"]
-    merges = (("metrics", merge_snapshots),
-              ("coverage", merge_coverage_snapshots),
+    extra = [_supervisor_snapshot(stats)] if troubled else []
+    merges = [("coverage", merge_coverage_snapshots),
               ("triage", merge_triage_snapshots),
-              ("adaptation", merge_adaptation_snapshots))
+              ("adaptation", merge_adaptation_snapshots)]
+    if record_metrics:
+        merges.insert(0, ("metrics",
+                          lambda snaps: merge_snapshots(snaps + extra)))
     for kind, merge in merges:
-        ordered = [
-            # Adaptation merges need each snapshot's cell identity.
-            dict(snap, tester=key[0], engine=key[1], seed=key[2])
-            if kind == "adaptation" else snap
-            for key in keys for snap in snapshots[kind].get(key, ())
-        ]
-        if not ordered or (kind == "metrics" and not record_metrics):
-            continue
-        cells = len(ordered)
-        if kind == "metrics" and troubled:
-            ordered.append(_supervisor_snapshot(stats))
-        log.emit(kind, scope="grid", cells=cells, snapshot=merge(ordered))
+        ordered = [snap for key in keys
+                   for snap in snapshots.get(key, {}).get(kind, ())]
+        if ordered:
+            log.emit(kind, scope="grid", cells=len(ordered),
+                     snapshot=merge(ordered))
     if troubled:
         log.emit("supervisor", **stats)
 

@@ -332,6 +332,7 @@ class TestMergeAndRender:
 
     def test_stats_render_gains_adaptation_section(self):
         from repro.obs import render_stats
+        from repro.obs.view import RunView
 
         log = EventLog()
         engine = create_engine("falkordb",
@@ -339,13 +340,14 @@ class TestMergeAndRender:
         tester = GQSTester()
         attach_adaptive_policy(tester, "epsilon")
         CampaignKernel(events=log).run(tester, engine, BUDGET, seed=2)
-        text = render_stats(log.events)
+        text = render_stats(RunView.of(log.events))
         assert "== adaptation ==" in text
         assert "strategy: epsilon" in text
         assert "union" in text
 
     def test_blind_stats_render_has_no_adaptation_section(self):
         from repro.obs import render_stats
+        from repro.obs.view import RunView
 
         log = EventLog()
         CampaignKernel(events=log).run(
@@ -353,4 +355,4 @@ class TestMergeAndRender:
                                        options=EngineOptions(gate_scale=GATE)),
             BUDGET, seed=2,
         )
-        assert "== adaptation ==" not in render_stats(log.events)
+        assert "== adaptation ==" not in render_stats(RunView.of(log.events))

@@ -32,6 +32,7 @@ from repro.obs import (
     render_trace,
     split_metric_key,
 )
+from repro.obs.view import RunView
 
 
 class TestMetricsRegistry:
@@ -371,9 +372,9 @@ class TestObservabilityCLI:
         assert main(["stats", str(tmp_path / "absent.jsonl")]) == 2
 
     def test_render_helpers_accept_event_dicts(self, event_log):
-        events = load_event_stream(event_log)
-        assert "== counters ==" in render_stats(events)
-        assert "×" in render_trace(events) or "x" in render_trace(events)
+        view = RunView.of(load_event_stream(event_log))
+        assert "== counters ==" in render_stats(view)
+        assert "×" in render_trace(view) or "x" in render_trace(view)
 
 
 def test_session_repr_mentions_engine():

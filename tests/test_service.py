@@ -663,12 +663,12 @@ class TestWatchJson:
         damaged.write_bytes(clean + b"%%% torn %%%\n")
         follower = EventFollower(damaged)
         follower.poll()
-        assert follower.skipped == 1
-        assert follower.skipped_lines == [
+        assert follower.view.skipped == 1
+        assert follower.view.torn == [
             {"offset": len(clean), "length": 12}
         ]
-        payload = watch_json(follower)
-        assert payload["torn_lines"] == follower.skipped_lines
+        payload = watch_json(follower.view)
+        assert payload["torn_lines"] == follower.view.torn
         assert payload["skipped_lines"] == 1
 
     def test_stats_warning_names_byte_offsets(self, service_log, tmp_path,
@@ -683,7 +683,7 @@ class TestWatchJson:
     def test_service_log_watch_finished_semantics(self, service_log):
         follower = EventFollower(service_log)
         follower.poll()
-        assert follower.finished
+        assert follower.view.finished
         # The folded cells carry the service lease lifecycle.
         assert all(cell["status"] == "done"
-                   for cell in follower.cells.values())
+                   for cell in follower.view.cells.values())

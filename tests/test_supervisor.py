@@ -532,6 +532,7 @@ class TestMalformedBundleCli:
 class TestSupervisorRendering:
     def test_stats_render_supervisor_section(self, tmp_path):
         from repro.obs import render_stats
+        from repro.obs.view import RunView
 
         log_path = tmp_path / "grid.jsonl"
         grid = cells_for("GQS") + [
@@ -541,7 +542,7 @@ class TestSupervisorRendering:
         ParallelCampaignRunner(
             jobs=1, events_path=log_path, cell_retries=1, retry_backoff=0.0,
         ).run(grid)
-        rendered = render_stats(load_event_stream(log_path))
+        rendered = render_stats(RunView.of(load_event_stream(log_path)))
         assert "== supervisor ==" in rendered
         assert "failed attempts (exception)" in rendered
         assert "cells quarantined" in rendered

@@ -31,7 +31,7 @@ from repro.obs import (
     split_metric_key,
     stats_json,
 )
-from repro.obs.render import merged_snapshot_from_events
+from repro.obs.view import RunView
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +49,8 @@ def event_log(tmp_path_factory):
 
 def campaign_query_total(events):
     """Total queries per the metrics counters — what ``repro stats`` shows."""
-    snapshot = merged_snapshot_from_events(events)
-    return sum(
-        value for key, value in snapshot["counters"].items()
-        if split_metric_key(key)[0] == "campaign.queries"
-    )
+    matrix = RunView.of(events).matrix("campaign.queries")
+    return sum(sum(row.values()) for row in matrix.values())
 
 
 class TestEventStreamSkipped:
@@ -105,13 +102,16 @@ class TestEventFollower:
             loaded = load_event_stream(live)
             # The loader skips an unterminated torn tail; the follower
             # buffers it as in-progress.  Both exclude it from events.
-            assert follower.events == list(loaded)
-            assert render_stats(follower.events) == render_stats(loaded)
-            assert render_bugs(follower.events) == render_bugs(loaded)
-            assert render_coverage(follower.events) == render_coverage(loaded)
-        assert follower.finished
-        assert follower.skipped == 0
-        assert follower.events == list(load_event_stream(event_log))
+            view = RunView.of(loaded)
+            assert follower.view.events == len(loaded)
+            assert follower.view.counts == view.counts
+            assert follower.view.cells == view.cells
+            assert render_stats(follower.view) == render_stats(view)
+            assert render_bugs(follower.view) == render_bugs(view)
+            assert render_coverage(follower.view) == render_coverage(view)
+        assert follower.view.finished
+        assert follower.view.skipped == 0
+        assert follower.view.events == len(load_event_stream(event_log))
 
     def test_torn_tail_parsed_once_completed(self, tmp_path):
         path = tmp_path / "tail.jsonl"
@@ -123,17 +123,17 @@ class TestEventFollower:
                              "detected_faults": []})
         path.write_text(first + "\n" + second[:9], encoding="utf-8")
         follower = EventFollower(path)
-        follower.poll()
-        assert [e["event"] for e in follower.events] == ["campaign_start"]
-        assert not follower.finished
+        assert [e["event"] for e in follower.poll()] == ["campaign_start"]
+        assert follower.view.counts == {"campaign_start": 1}
+        assert not follower.view.finished
         with path.open("a", encoding="utf-8") as fh:
             fh.write(second[9:] + "\n")
-        follower.poll()
-        assert [e["event"] for e in follower.events] == [
-            "campaign_start", "campaign_end"]
-        assert follower.skipped == 0
-        assert follower.finished
-        assert follower.total_queries == 7
+        assert [e["event"] for e in follower.poll()] == ["campaign_end"]
+        assert follower.view.counts == {"campaign_start": 1,
+                                        "campaign_end": 1}
+        assert follower.view.skipped == 0
+        assert follower.view.finished
+        assert follower.view.queries == 7
 
     def test_terminated_garbage_counts_as_skipped(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -142,19 +142,19 @@ class TestEventFollower:
                         encoding="utf-8")
         follower = EventFollower(path)
         follower.poll()
-        assert follower.skipped == 1
-        assert follower.skipped == load_event_stream(path).skipped
+        assert follower.view.skipped == 1
+        assert follower.view.skipped == load_event_stream(path).skipped
 
     def test_missing_file_polls_empty(self, tmp_path):
         follower = EventFollower(tmp_path / "absent.jsonl")
         assert follower.poll() == []
-        assert follower.events == []
-        assert not follower.finished
+        assert follower.view.events == 0
+        assert not follower.view.finished
 
     def test_render_watch_lists_cells_and_signatures(self, event_log):
         follower = EventFollower(event_log)
         follower.poll()
-        frame = render_watch(follower)
+        frame = render_watch(follower.view, path=event_log)
         assert "== live campaign telemetry ==" in frame
         assert "GQS/falkordb/0" in frame
         assert "status: complete" in frame
@@ -246,7 +246,7 @@ class TestOperatorProfiler:
 class TestChromeTrace:
     def test_trace_events_valid_and_monotone(self, event_log):
         trace = json.loads(json.dumps(chrome_trace(
-            load_event_stream(event_log))))
+            RunView.of(load_event_stream(event_log)))))
         slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert slices
         last_ts = {}
@@ -268,7 +268,7 @@ class TestChromeTrace:
         assert trace["traceEvents"]
 
     def test_no_span_trace_is_empty_but_valid(self):
-        trace = chrome_trace([{"event": "campaign_start"}])
+        trace = chrome_trace(RunView.of([{"event": "campaign_start"}]))
         assert trace["traceEvents"] == []
 
 
@@ -281,7 +281,7 @@ class TestJsonExports:
         assert data["events"] == len(events)
         assert data["skipped_lines"] == 0
         assert data["queries"]["GQS"]["falkordb"] > 0
-        assert data == json.loads(json.dumps(stats_json(events)))
+        assert data == json.loads(json.dumps(stats_json(RunView.of(events))))
         assert any(op["operator"] == "match" for op in data["profile"])
 
     def test_bugs_json_cli(self, event_log, capsys):
@@ -289,7 +289,7 @@ class TestJsonExports:
         data = json.loads(capsys.readouterr().out)
         events = load_event_stream(event_log)
         assert data["schema"] == EXPORT_SCHEMA_VERSION
-        assert data == json.loads(json.dumps(bugs_json(events)))
+        assert data == json.loads(json.dumps(bugs_json(RunView.of(events))))
         assert data["distinct"] == len(data["bugs"])
 
     def test_compare_json_cli(self, capsys):
@@ -326,7 +326,7 @@ class TestHtmlReport:
         assert event_log.name in out.read_text(encoding="utf-8")
 
     def test_report_escapes_markup(self):
-        html = html_report([], title="a<b & c>d")
+        html = html_report(RunView(), title="a<b & c>d")
         assert "a&lt;b &amp; c&gt;d" in html
         assert "a<b" not in html
 
