@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import struct
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cypher import ast
 from repro.engine.errors import CypherError
@@ -57,6 +58,25 @@ def _lit(value: Any) -> ast.Expression:
 
 # A wrapping template: given the inner expression, produce the outer one.
 _Template = Callable[[ast.Expression], ast.Expression]
+
+# Algorithm 2 evaluates each template over this variable, bound in turn to
+# the intended value and to each distinct competitor value.
+_PLACEHOLDER = ast.Variable("__value")
+
+
+def _exact_key(value: Any) -> Any:
+    """A key equal only for values of the same type and exact value.
+
+    Unlike ``equivalence_key`` it keeps 1, 1.0 and True apart, and 0.0,
+    -0.0 and NaNs by their bits, since a template can tell them apart.
+    """
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    if isinstance(value, list):
+        return list, tuple(_exact_key(item) for item in value)
+    if isinstance(value, dict):
+        return dict, tuple((k, _exact_key(v)) for k, v in value.items())
+    return type(value), value
 
 
 class ExpressionFactory:
@@ -310,47 +330,57 @@ class ExpressionFactory:
         """
         expr = access
         value = target_value
-        others = list(competitor_values)
+        # S2 without exact duplicates: a template's value on a competitor
+        # depends only on its exact type and value.
+        others = {_exact_key(other): other for other in competitor_values}
 
         for _level in range(depth):
-            accepted = False
             for _attempt in range(attempts_per_level):
                 template = self._pick_template(type_of_value(value))
                 if template is None:
+                    # Line 14: depth decreases regardless; with no usable
+                    # template at this type we simply stop early.
                     break
-                try:
-                    new_value = self._eval_template(template, value)
-                    new_others = [
-                        self._eval_template(template, other) for other in others
-                    ]
-                except CypherError:
-                    continue
-                # The wrapped access ends up in an equality predicate, so
-                # its value on the intended element must be reflexively
-                # equal to itself: `[1, null] = [1, null]` is null in
-                # Cypher, which would silently drop the intended match.
-                if V.ternary_equals(new_value, new_value) is not True:
-                    continue
-                target_key = V.equivalence_key(new_value)
-                other_keys = {
-                    V.equivalence_key(other) for other in new_others
-                }
-                if target_key in other_keys:
-                    continue  # template cannot differentiate S1 from S2
-                expr = template(expr)
-                value = new_value
-                others = new_others
-                accepted = True
-                break
-            if not accepted:
-                # Line 14: depth decreases regardless; with no usable
-                # template at this type we simply stop early.
-                continue
+                outcome = self._distinguish(template, value, others)
+                if outcome is not None:
+                    expr = template(expr)
+                    value, others = outcome
+                    break
         return expr, value
 
-    def _eval_template(self, template: _Template, value: Any) -> Any:
-        """Evaluate a template instantiated with a concrete value."""
-        return self._evaluator.evaluate(template(_lit(value)), {})
+    def _distinguish(
+        self, template: _Template, value: Any, others: Dict[Any, Any]
+    ) -> Optional[Tuple[Any, Dict[Any, Any]]]:
+        """The template's value on S1 and its distinct values on S2.
+
+        ``None`` when the template raises, is not reflexive on the intended
+        element, or maps a competitor onto the intended value (line 8 of
+        Algorithm 2).  Every rejection is final, so evaluation stops at the
+        first one; the template's tree is built once, over a variable.
+        """
+        wrapped = template(_PLACEHOLDER)
+        evaluate = self._evaluator.evaluate
+        try:
+            new_value = evaluate(wrapped, {_PLACEHOLDER.name: value})
+        except CypherError:
+            return None
+        # The wrapped access ends up in an equality predicate, so its value
+        # on the intended element must be reflexively equal to itself:
+        # `[1, null] = [1, null]` is null in Cypher, which would silently
+        # drop the intended match.
+        if V.ternary_equals(new_value, new_value) is not True:
+            return None
+        target_key = V.equivalence_key(new_value)
+        new_others: Dict[Any, Any] = {}
+        for other in others.values():
+            try:
+                result = evaluate(wrapped, {_PLACEHOLDER.name: other})
+            except CypherError:
+                return None
+            if V.equivalence_key(result) == target_key:
+                return None  # template cannot differentiate S1 from S2
+            new_others[_exact_key(result)] = result
+        return new_value, new_others
 
     def _pick_template(self, value_type: str) -> Optional[_Template]:
         """Draw a wrapping template accepting a parameter of *value_type*."""
@@ -358,9 +388,9 @@ class ExpressionFactory:
         templates: List[_Template] = []
 
         # NOTE: every random operand is drawn *now* and bound via default
-        # arguments.  A template is applied twice — once on a literal to
-        # compute the expected value, once on the real property access — and
-        # both applications must produce the same constants.
+        # arguments.  A template is applied twice — once on a placeholder
+        # variable to compute the values, once on the real property access
+        # — and both applications must produce the same constants.
         if value_type in ("INTEGER", "FLOAT"):
             constant = rng.randint(1, 9)
             divisor = rng.choice([2, 3, 4])

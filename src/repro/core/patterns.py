@@ -445,20 +445,31 @@ class PatternBuilder:
         }
         pinned: Set[str] = set()
         pin_count = 0
+        matches: Optional[List[Dict[str, Any]]] = None
 
         while True:
-            matches = list(
-                itertools.islice(self._matcher.match(patterns, row), match_budget)
-            )
+            if matches is None:
+                matches = list(itertools.islice(
+                    self._matcher.match(patterns, row), match_budget
+                ))
             ambiguous = self._ambiguous_variable(matches, bindings, pinned)
             if ambiguous is None:
                 break
             where_terms.append(self._pin_predicate(ambiguous, bindings[ambiguous]))
             pinned.add(ambiguous)
             pin_count += 1
-            # Apply the pin by binding the variable directly for the next
-            # matcher round (equivalent to the predicate, but cheaper).
-            row[ambiguous] = bindings[ambiguous]
+            # Apply the pin by binding the variable directly (equivalent to
+            # the predicate, but cheaper).  A round under the budget holds
+            # every match, so the pin filters it in memory; a truncated
+            # round is matched again with the new binding.
+            intended = row[ambiguous] = bindings[ambiguous]
+            if len(matches) < match_budget:
+                matches = [
+                    match for match in matches
+                    if _same_element(match.get(ambiguous), intended)
+                ]
+            else:
+                matches = None
         return pin_count
 
     def _ambiguous_variable(
@@ -472,8 +483,7 @@ class PatternBuilder:
             # Single match: confirm it is the intended one; if not, pin the
             # first deviating variable.
             for var, intended in bindings.items():
-                actual = matches[0].get(var)
-                if actual is None or actual.id != intended.id or type(actual) is not type(intended):
+                if not _same_element(matches[0].get(var), intended):
                     if var not in pinned:
                         return var
             return None
@@ -617,6 +627,15 @@ class PatternBuilder:
                 ast.Binary("<>", ast.Variable(left), ast.Variable(right))
             )
         return terms
+
+
+def _same_element(actual: Any, intended: Any) -> bool:
+    """Whether a match binds a variable to the intended graph element."""
+    return (
+        actual is not None
+        and type(actual) is type(intended)
+        and actual.id == intended.id
+    )
 
 
 def _conjoin(terms: List[ast.Expression]) -> Optional[ast.Expression]:

@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterator, Optional
 from repro.core.ground_truth import select_ground_truth
 from repro.core.oracle import check_result
 from repro.core.synthesizer import QuerySynthesizer, SynthesizerConfig
-from repro.cypher.analysis import analyze, clause_types_in
 from repro.cypher.printer import print_query
 from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
 from repro.gdb.engines import GraphDatabase
@@ -116,7 +115,7 @@ class GQSTester(TesterProtocol):
 
         report: Optional[BugReport] = None
         try:
-            actual = engine.execute(synthesis.query)
+            actual = engine.execute(synthesis.query, text=query_text)
         except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
             # Step 4 (error case): crashes/hangs/exceptions are detected at
             # no extra oracle cost.
@@ -150,7 +149,8 @@ class GQSTester(TesterProtocol):
             return Judgement()
 
         def make_trigger_record() -> Dict[str, Any]:
-            metrics = analyze(synthesis.query)
+            facts = synthesis.query.facts
+            metrics = facts.metrics
             return {
                 "fault_id": report.fault_id,
                 "engine": engine.name,
@@ -160,7 +160,7 @@ class GQSTester(TesterProtocol):
                 "depth": metrics.expression_depth,
                 "clauses": metrics.clauses,
                 "dependencies": metrics.dependencies,
-                "clause_names": clause_types_in(synthesis.query),
+                "clause_names": list(facts.clause_names),
                 "kind": report.kind,
                 # §5.1: the paper observes all bugs trigger on small
                 # graphs and small expected result sets.

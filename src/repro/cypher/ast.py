@@ -15,6 +15,7 @@ references) can walk the tree generically, and every node renders through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -504,8 +505,19 @@ class Merge(Clause):
 # Queries
 # ---------------------------------------------------------------------------
 
+class _Analyzed:
+    """A whole query, whose analysis facts are walked once and kept."""
+
+    @cached_property
+    def facts(self) -> Any:
+        """The :class:`repro.cypher.analysis.QueryFacts` of this tree."""
+        from repro.cypher.analysis import QueryFacts  # imports this module
+
+        return QueryFacts.of(self)
+
+
 @dataclass(frozen=True)
-class Query:
+class Query(_Analyzed):
     """A single (non-UNION) query: an ordered sequence of clauses."""
 
     clauses: Tuple[Clause, ...]
@@ -516,7 +528,7 @@ class Query:
 
 
 @dataclass(frozen=True)
-class UnionQuery:
+class UnionQuery(_Analyzed):
     """``query UNION [ALL] query`` (left-associative chains nest on the left)."""
 
     left: "Query | UnionQuery"

@@ -339,7 +339,8 @@ class Evaluator:
                     return math.copysign(float("inf"), left) * math.copysign(1.0, right)
                 return left / right
             if op == "%":
-                if right == 0:
+                # fmod raises on an infinite dividend; IEEE gives NaN.
+                if right == 0 or left in (math.inf, -math.inf):
                     if both_int:
                         raise CypherRuntimeError("% by zero")
                     return float("nan")

@@ -1,11 +1,11 @@
-"""Per-session plan cache keyed on query shape fingerprints.
+"""Per-engine plan cache keyed by exact query text.
 
-Synthesized campaigns re-issue queries whose *shape* repeats even when the
-literals differ; the cache key therefore combines the sorted
-``query_feature_tags`` shape fingerprint with the exact query text, so two
-textually identical queries share one compiled plan while shape-sharing but
-textually distinct queries compile separately (their literals are baked
-into the compiled closures).
+A compiled plan bakes the query's literals into its closures, so only an
+identical text can reuse one: replays, differential runs and repeated
+benchmark rounds hit, while every freshly synthesized query misses and
+compiles once.  (The key once also folded in a sorted feature-tag "shape"
+fingerprint on the theory that shapes repeat across literals; since the
+text was always part of the key, that walk never produced a hit.)
 
 The cache is deliberately observability-friendly: hit/miss/compile (and
 dual-mode divergence) tallies accumulate as plain ints and are drained by
@@ -15,24 +15,18 @@ same tally-then-flush pattern the engines use for matcher/evaluator calls.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["PlanCache"]
 
 
 class PlanCache:
-    """FIFO-bounded mapping from shape fingerprints to compiled plans."""
+    """FIFO-bounded mapping from query texts to compiled plans."""
 
     def __init__(self, capacity: int = 512):
         self.capacity = capacity
         self._plans: "OrderedDict[str, Any]" = OrderedDict()
-        # Exact-text fast path: repeated query texts (replays, differential
-        # runs, benchmark rounds) skip the feature-tag walk and hash
-        # entirely.  String hashes are cached per object, so this lookup is
-        # nearly free.
-        self._text_keys: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.compiles = 0
@@ -42,37 +36,17 @@ class PlanCache:
         # keeps that fallback visible in `== plans ==`.
         self.write_fallbacks = 0
 
-    @staticmethod
-    def fingerprint(tags: Iterable[str], text: str) -> str:
-        """Stable digest of a query's feature-tag shape plus its text."""
-        hasher = hashlib.sha256()
-        for tag in sorted(tags):
-            hasher.update(tag.encode("utf-8"))
-            hasher.update(b"\x1f")
-        hasher.update(b"\x1e")
-        hasher.update(text.encode("utf-8"))
-        return hasher.hexdigest()
-
-    def key_for_text(self, text: str) -> Optional[str]:
-        """The fingerprint previously computed for this exact query text."""
-        return self._text_keys.get(text)
-
-    def remember_text(self, text: str, key: str) -> None:
-        self._text_keys[text] = key
-        while len(self._text_keys) > 2 * self.capacity:
-            self._text_keys.popitem(last=False)
-
-    def get(self, key: str) -> Optional[Any]:
-        plan = self._plans.get(key)
+    def get(self, text: str) -> Optional[Any]:
+        plan = self._plans.get(text)
         if plan is None:
             self.misses += 1
         else:
             self.hits += 1
         return plan
 
-    def put(self, key: str, plan: Any) -> None:
+    def put(self, text: str, plan: Any) -> None:
         self.compiles += 1
-        self._plans[key] = plan
+        self._plans[text] = plan
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
 

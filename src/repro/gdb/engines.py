@@ -42,7 +42,6 @@ from repro.graph import values as V
 from repro.graph.model import PropertyGraph
 from repro.graph.schema import GraphSchema
 from repro.obs import PROBE
-from repro.obs.coverage import query_feature_tags
 from repro.obs.profile import PROFILE_STEP_CEILING, OperatorProfile
 
 __all__ = [
@@ -270,13 +269,19 @@ class GraphDatabase:
 
     # -- query execution ----------------------------------------------------
 
-    def execute(self, query: AnyQuery) -> ResultSet:
-        """Execute *query*; raises CypherError subclasses on failure."""
+    def execute(
+        self, query: AnyQuery, text: Optional[str] = None
+    ) -> ResultSet:
+        """Execute *query*; raises CypherError subclasses on failure.
+
+        A caller that already printed the tree passes its ``print_query``
+        text as *text*, so the query is printed once.
+        """
         if not PROBE.on:
-            return self._execute_guarded(query)
+            return self._execute_guarded(query, text)
         start = perf_counter()
         try:
-            return self._execute_guarded(query)
+            return self._execute_guarded(query, text)
         finally:
             metrics = PROBE.metrics
             metrics.counter("engine.queries", engine=self.name).inc()
@@ -320,7 +325,9 @@ class GraphDatabase:
                     # histogram (excluded from deterministic views).
                     self._op_profile.flush(metrics)
 
-    def _execute_guarded(self, query: AnyQuery) -> ResultSet:
+    def _execute_guarded(
+        self, query: AnyQuery, text: Optional[str]
+    ) -> ResultSet:
         # Recursion guard of the evaluation resource envelope: a synthesized
         # AST deep enough to exhaust the interpreter stack is a harness
         # condition, not engine behavior — surface it as the typed budget
@@ -328,13 +335,13 @@ class GraphDatabase:
         # false bug.  (Raising *after* the stack unwinds is safe: Python
         # leaves headroom inside the except block.)
         try:
-            return self._execute(query)
+            return self._execute(query, text)
         except RecursionError as exc:
             raise EvaluationBudgetExceeded(
                 f"recursion limit exhausted during evaluation: {exc}"
             ) from exc
 
-    def _execute(self, query: AnyQuery) -> ResultSet:
+    def _execute(self, query: AnyQuery, text: Optional[str]) -> ResultSet:
         if self._executor is None or self.graph is None:
             raise CypherRuntimeError("no graph loaded")
         if self.crashed:
@@ -348,7 +355,8 @@ class GraphDatabase:
             tree = entry[0] if entry is not None else parse_query(text)
         else:
             tree = query
-            text = print_query(query)
+            if text is None:
+                text = print_query(query)
             entry = self._query_cache.get(text)
 
         self.queries_since_restart += 1
@@ -514,17 +522,13 @@ class GraphDatabase:
 
     def _plan_for(self, tree: AnyQuery, text: str):
         cache = self._plan_cache
-        key = cache.key_for_text(text)
-        if key is None:
-            key = PlanCache.fingerprint(query_feature_tags(tree), text)
-            cache.remember_text(text, key)
-        plan = cache.get(key)
+        plan = cache.get(text)
         if plan is None:
             plan = build_plan(
                 tree,
                 enforce_rel_uniqueness=self.dialect.enforces_rel_uniqueness,
             )
-            cache.put(key, plan)
+            cache.put(text, plan)
         return plan
 
     def _plan_context(self) -> ExecutionContext:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Union
 
 from repro.cypher import ast
-from repro.cypher.analysis import QueryMetrics, analyze, clause_types_in, functions_in
+from repro.cypher.analysis import QueryMetrics
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherRuntimeError, DatabaseCrash, ResourceExhausted
 
@@ -172,13 +172,12 @@ def _flatten(query: AnyQuery) -> List[ast.Query]:
 
 def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
     """Compute the trigger-relevant features of *query*."""
-    metrics = analyze(query)
-    names = clause_types_in(query)
-    funcs = functions_in(query)
+    facts = query.facts
+    funcs = facts.functions
     features = QueryFeatures(
-        metrics=metrics,
-        clause_names=names,
-        functions=funcs,
+        metrics=facts.metrics,
+        clause_names=list(facts.clause_names),
+        functions=list(funcs),
         has_union=isinstance(query, ast.UnionQuery),
         query_hash=stable_hash(query_text),
     )

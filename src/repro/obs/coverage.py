@@ -11,8 +11,9 @@ report as a first-class evaluation metric.
 
 Design rules mirror :mod:`repro.obs.metrics`:
 
-* extraction reuses the AST analyses of :mod:`repro.cypher.analysis` and
-  draws no randomness — coverage on or off leaves campaign results
+* extraction reads the tree's :class:`repro.cypher.analysis.QueryFacts`
+  (one walk per tree, shared with the fault features) and draws no
+  randomness — coverage on or off leaves campaign results
   byte-identical;
 * per-cell snapshots are plain JSON dicts with sorted keys, and
   :func:`merge_coverage_snapshots` folds any number of them in **sorted
@@ -26,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cypher import ast
-from repro.cypher.analysis import analyze, clause_types_in, functions_in
 
 __all__ = [
     "query_feature_tags",
@@ -74,85 +74,11 @@ def _check_schema(snapshot: Dict[str, Any], cell: str) -> None:
 # Expression nesting deeper than this is tagged ``depth:5+`` — the paper's
 # complexity histograms (Figure 12) flatten the tail the same way.
 _DEPTH_CAP = 5
-# Path patterns longer than this are tagged ``shape:path-3+``.
-_PATH_CAP = 3
 
 
 def feature_kind(tag: str) -> str:
     """The feature family of a coverage tag (``clause:MATCH`` → ``clause``)."""
     return tag.split(":", 1)[0]
-
-
-def _operators_in(query: AnyQuery) -> List[str]:
-    """Every operator occurrence in *query* (with repeats)."""
-    names: List[str] = []
-
-    def visit(expr: ast.Expression) -> None:
-        if isinstance(expr, ast.Binary):
-            names.append(expr.op)
-        elif isinstance(expr, ast.Unary):
-            names.append(expr.op)
-        elif isinstance(expr, ast.IsNull):
-            names.append("IS NOT NULL" if expr.negated else "IS NULL")
-        elif isinstance(expr, ast.CaseExpression):
-            names.append("CASE")
-        elif isinstance(expr, ast.ListIndex):
-            names.append("[]")
-        elif isinstance(expr, ast.ListSlice):
-            names.append("[..]")
-        elif isinstance(expr, ast.ListComprehension):
-            names.append("list-comprehension")
-        elif isinstance(expr, ast.PatternPredicate):
-            names.append("pattern-predicate")
-        elif isinstance(expr, ast.CountStar):
-            names.append("count(*)")
-        for child in expr.children():
-            visit(child)
-
-    for sub in _flatten(query):
-        for clause in sub.clauses:
-            for expr in ast.walk_expressions(clause):
-                visit(expr)
-    return names
-
-
-def _flatten(query: AnyQuery) -> List[ast.Query]:
-    if isinstance(query, ast.UnionQuery):
-        return _flatten(query.left) + [query.right]
-    return [query]
-
-
-def _pattern_shapes_in(query: AnyQuery) -> List[str]:
-    """Discrete pattern-shape tags: path lengths, direction, label arity."""
-    shapes: List[str] = []
-
-    def scan_pattern(pattern: ast.PathPattern) -> None:
-        length = len(pattern.relationships)
-        if length >= _PATH_CAP:
-            shapes.append(f"path-{_PATH_CAP}+")
-        else:
-            shapes.append(f"path-{length}")
-        if pattern.path_variable:
-            shapes.append("named-path")
-        for rel in pattern.relationships:
-            if rel.direction == ast.BOTH:
-                shapes.append("undirected-rel")
-            if rel.types:
-                shapes.append("typed-rel")
-        for node in pattern.nodes:
-            if len(node.labels) >= 2:
-                shapes.append("multi-label-node")
-            elif node.labels:
-                shapes.append("labeled-node")
-
-    for sub in _flatten(query):
-        for clause in sub.clauses:
-            if isinstance(clause, (ast.Match, ast.Create)):
-                for pattern in clause.patterns:
-                    scan_pattern(pattern)
-            elif isinstance(clause, ast.Merge):
-                scan_pattern(clause.pattern)
-    return shapes
 
 
 # Write clause name → lowercase family tag (repro.synth.state statement
@@ -176,21 +102,21 @@ def query_feature_tags(query: AnyQuery) -> List[str]:
     nesting, capped).  Repeats are preserved so the accumulator can report
     per-feature occurrence counts alongside the covered set.
     """
-    clause_names = clause_types_in(query)
-    tags = [f"clause:{name}" for name in clause_names]
+    facts = query.facts
+    tags = [f"clause:{name}" for name in facts.clause_names]
     # Write-clause *family* tags (lowercase, so they cannot collide with
     # the verbatim clause names above): one per write family occurrence,
     # with DETACH DELETE folding into the ``delete`` family.  These are
     # what the stateful adaptive arms steer on.
     tags.extend(
         f"clause:{_WRITE_FAMILIES[name]}"
-        for name in clause_names
+        for name in facts.clause_names
         if name in _WRITE_FAMILIES
     )
-    tags.extend(f"function:{name}" for name in functions_in(query))
-    tags.extend(f"operator:{name}" for name in _operators_in(query))
-    tags.extend(f"shape:{name}" for name in _pattern_shapes_in(query))
-    depth = analyze(query).expression_depth
+    tags.extend(f"function:{name}" for name in facts.functions)
+    tags.extend(f"operator:{name}" for name in facts.operators)
+    tags.extend(f"shape:{name}" for name in facts.shapes)
+    depth = facts.metrics.expression_depth
     if depth >= _DEPTH_CAP:
         tags.append(f"depth:{_DEPTH_CAP}+")
     else:

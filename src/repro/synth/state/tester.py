@@ -28,7 +28,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.oracle import check_result
 from repro.core.runner import GQSTester
-from repro.cypher.analysis import analyze, clause_types_in
 from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
 from repro.gdb.engines import GraphDatabase
 from repro.runtime.protocol import Judgement
@@ -105,7 +104,7 @@ class StatefulGQSTester(GQSTester):
 
         report: Optional[BugReport] = None
         try:
-            actual = engine.execute(synthesis.query)
+            actual = engine.execute(synthesis.query, text=query_text)
         except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
             # Engine state after an aborted statement is unknowable; end
             # the round so the shadow never drifts silently.
@@ -167,7 +166,8 @@ class StatefulGQSTester(GQSTester):
         statement_kind = synthesis.statement_kind
 
         def make_trigger_record() -> Dict[str, Any]:
-            metrics = analyze(synthesis.query)
+            facts = synthesis.query.facts
+            metrics = facts.metrics
             return {
                 "fault_id": report.fault_id,
                 "engine": engine.name,
@@ -177,7 +177,7 @@ class StatefulGQSTester(GQSTester):
                 "depth": metrics.expression_depth,
                 "clauses": metrics.clauses,
                 "dependencies": metrics.dependencies,
-                "clause_names": clause_types_in(synthesis.query),
+                "clause_names": list(facts.clause_names),
                 "kind": report.kind,
                 "graph_nodes": graph.node_count if graph else None,
                 "graph_relationships": (

@@ -51,6 +51,12 @@ class TestArithmetic:
         with pytest.raises(CypherRuntimeError):
             ev(evaluator, "5 % 0")
 
+    def test_modulo_of_infinity_is_nan(self, evaluator):
+        # Python's fmod raises on an infinite dividend; IEEE gives NaN.
+        assert math.isnan(ev(evaluator, "(1.0 / 0.0) % 5"))
+        assert math.isnan(ev(evaluator, "(-1.0 / 0.0) % 2.5"))
+        assert ev(evaluator, "5.5 % (1.0 / 0.0)") == 5.5
+
     def test_power_always_float(self, evaluator):
         assert ev(evaluator, "2 ^ 3") == 8.0
         assert isinstance(ev(evaluator, "2 ^ 3"), float)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.expressions import ExpressionFactory, type_of_value
+from repro.core.expressions import ExpressionFactory, _lit, type_of_value
 from repro.cypher import ast
 from repro.cypher.parser import parse_query
 from repro.cypher.printer import print_expression
+from repro.engine.errors import CypherError
 from repro.engine.evaluator import Evaluator
 from repro.graph import values as V
 from repro.graph.generator import GraphGenerator
@@ -143,3 +144,110 @@ class TestObfuscation:
         access = ast.PropertyAccess(ast.Variable("n"), "id")
         expr, _value = factory.obfuscate_property_access(access, 7, [1, 2], 5)
         assert expr.depth() > access.depth()
+
+
+class _ReferenceFactory(ExpressionFactory):
+    """Algorithm 2 as it was first written: one literal tree and one
+    evaluation per competitor, no early exit.  The differential test
+    below holds the incremental version to it."""
+
+    def obfuscate_property_access(
+        self,
+        access,
+        target_value,
+        competitor_values,
+        depth,
+        attempts_per_level=8,
+    ):
+        expr = access
+        value = target_value
+        others = list(competitor_values)
+
+        for _level in range(depth):
+            accepted = False
+            for _attempt in range(attempts_per_level):
+                template = self._pick_template(type_of_value(value))
+                if template is None:
+                    break
+                try:
+                    new_value = self._eval_template(template, value)
+                    new_others = [
+                        self._eval_template(template, other) for other in others
+                    ]
+                except CypherError:
+                    continue
+                if V.ternary_equals(new_value, new_value) is not True:
+                    continue
+                target_key = V.equivalence_key(new_value)
+                other_keys = {
+                    V.equivalence_key(other) for other in new_others
+                }
+                if target_key in other_keys:
+                    continue
+                expr = template(expr)
+                value = new_value
+                others = new_others
+                accepted = True
+                break
+            if not accepted:
+                continue
+        return expr, value
+
+    def _eval_template(self, template, value):
+        return self._evaluator.evaluate(template(_lit(value)), {})
+
+
+# Values that differ only in type (1, 1.0, True), only in sign (0.0,
+# -0.0), that are never equal to themselves (NaN, lists holding null), or
+# that make templates raise (strings under arithmetic, int64 edges).
+_TRICKY = [
+    1, 1.0, True, 0, 0.0, -0.0, False, float("nan"), float("inf"),
+    -float("inf"), None, "", " ", "1", "a b", [1, None], [None], [],
+    [1, 1.0], [0.0], [-0.0], 2**63 - 1, -(2**63), 2**62, 1e308, -7, 7,
+    "ABC", "abc", [True], ["x", "y"],
+]
+
+
+def _random_value(rng):
+    roll = rng.random()
+    if roll < 0.45:
+        return rng.choice(_TRICKY)
+    if roll < 0.65:
+        return rng.randint(-20, 20)
+    if roll < 0.8:
+        return rng.choice([0.5, -0.5, 2.5, 3.0, 1e-3])
+    if roll < 0.92:
+        return rng.choice(["aa", "ab", "ba", "abc", "cba", "A", "a"])
+    return [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]
+
+
+class TestIncrementalAlgorithm2:
+    """Evaluating each template once per distinct competitor value and
+    stopping at the first rejection keeps every draw and every output of
+    the literal-per-competitor original."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, seed):
+        cases = random.Random(seed)
+        target = _random_value(cases)
+        competitors = [_random_value(cases) for _ in range(cases.randint(0, 12))]
+        # Duplicates, often of the target itself.
+        competitors += [cases.choice(competitors + [target])
+                        for _ in range(cases.randint(0, 4))]
+        depth = cases.randint(0, 4)
+        graph = PropertyGraph()
+        fast = ExpressionFactory(graph, random.Random(seed))
+        slow = _ReferenceFactory(graph, random.Random(seed))
+        access = ast.PropertyAccess(ast.Variable("n"), "id")
+
+        expr, value = fast.obfuscate_property_access(
+            access, target, competitors, depth
+        )
+        ref_expr, ref_value = slow.obfuscate_property_access(
+            access, target, competitors, depth
+        )
+        assert print_expression(expr) == print_expression(ref_expr)
+        assert type(value) is type(ref_value)
+        assert repr(value) == repr(ref_value)
+        assert fast.rng.getstate() == slow.rng.getstate()

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core.patterns import GraphPath, PatternBuilder
 from repro.cypher import ast
+from repro.cypher.printer import print_expression
 from repro.engine.evaluator import Evaluator
 from repro.engine.matcher import Matcher
 from repro.graph.generator import GraphGenerator
-from repro.graph.model import Node, Relationship
+from repro.graph.model import Node, PropertyGraph, Relationship
 
 
 class TestGraphPath:
@@ -203,3 +204,133 @@ class TestSplitPaths:
         rel = graph.relationship(0)
         paths = [GraphPath([rel.start, rel.end], [(rel.id, True)])]
         assert builder._split_paths(list(paths)) == paths
+
+
+class _ReferencePinBuilder(PatternBuilder):
+    """The pin loop as first written: a fresh matcher round per pin."""
+
+    def _pin_to_unique(
+        self,
+        patterns,
+        scope,
+        bindings,
+        element_to_var,
+        where_terms,
+        match_budget=64,
+    ):
+        row = {
+            var: value
+            for var, value in scope.items()
+            if isinstance(value, (Node, Relationship))
+        }
+        pinned = set()
+        pin_count = 0
+
+        while True:
+            matches = list(
+                itertools.islice(self._matcher.match(patterns, row), match_budget)
+            )
+            ambiguous = self._ambiguous_variable(matches, bindings, pinned)
+            if ambiguous is None:
+                break
+            where_terms.append(self._pin_predicate(ambiguous, bindings[ambiguous]))
+            pinned.add(ambiguous)
+            pin_count += 1
+            row[ambiguous] = bindings[ambiguous]
+        return pin_count
+
+
+def _two_clusters(seed):
+    """Two disconnected clusters of 9-14 nodes each, a few edges inside."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    clusters = []
+    for label in ("A", "B"):
+        ids = [
+            graph.add_node(
+                [label] if rng.random() < 0.7 else [], {"id": 100 + graph.node_count}
+            ).id
+            for _ in range(rng.randint(9, 14))
+        ]
+        for _ in range(rng.randint(0, 6)):
+            graph.add_relationship(
+                rng.choice(ids), rng.choice(ids), "T",
+                {"id": 500 + graph.relationship_count},
+            )
+        clusters.append(ids)
+    return graph, clusters
+
+
+def _counted_matcher(builder):
+    rounds = []
+    match = builder._matcher.match
+
+    def counting(patterns, row):
+        rounds.append(dict(row))
+        return match(patterns, row)
+
+    builder._matcher.match = counting
+    return rounds
+
+
+class TestPinRefinement:
+    """Filtering a complete round in memory, and re-matching only after
+    a truncated one, pins exactly as a fresh round per pin does."""
+
+    def _both(self, graph, seed, introduce, scope=None, uniqueness=False):
+        out = []
+        for cls in (PatternBuilder, _ReferencePinBuilder):
+            builder = cls(graph, random.Random(seed))
+            rounds = _counted_matcher(builder)
+            result = builder.build_match(
+                introduce, scope=scope or {}, previous_paths=[],
+                add_uniqueness_predicates=uniqueness,
+            )
+            where = None if result.where is None else print_expression(result.where)
+            out.append((where, result.pin_count, builder.rng.getstate(), rounds))
+        return out
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_generated_graphs(self, seed):
+        graph = GraphGenerator(seed=seed % 500).generate()
+        node_ids = graph.node_ids()
+        rng = random.Random(seed)
+        introduce = [
+            (f"n{i}", ("node", rng.choice(node_ids)))
+            for i in range(rng.randint(1, 4))
+        ]
+        introduce = list({element: (var, element)
+                          for var, element in introduce}.values())
+        fast, reference = self._both(
+            graph, seed, introduce, uniqueness=rng.random() < 0.5
+        )
+        assert fast[:3] == reference[:3]
+        assert len(fast[3]) <= len(reference[3])
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_past_the_match_budget(self, seed):
+        # Comma patterns over two disconnected clusters of more than
+        # eight nodes: the first round holds more than 64 matches.
+        graph, (left, right) = _two_clusters(seed)
+        rng = random.Random(seed)
+        introduce = [("a", ("node", rng.choice(left))),
+                     ("b", ("node", rng.choice(right)))]
+        fast, reference = self._both(graph, seed, introduce)
+        assert fast[:3] == reference[:3]
+        assert len(fast[3]) <= len(reference[3])
+
+    def test_truncated_round_is_matched_again(self):
+        graph = PropertyGraph()
+        for index in range(20):
+            graph.add_node([], {"id": index})
+        introduce = [("a", ("node", 17)), ("b", ("node", 3))]
+        fast, reference = self._both(graph, 0, introduce)
+        assert fast[:3] == reference[:3]
+        assert fast[1] == 2
+        # 400 matches: the truncated first round is matched again with
+        # the first pin bound (20 matches); the second pin then filters
+        # that complete round in memory.
+        assert [len(row) for row in fast[3]] == [0, 1]
+        assert [len(row) for row in reference[3]] == [0, 1, 2]

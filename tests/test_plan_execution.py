@@ -20,12 +20,10 @@ from repro.cypher import print_query
 from repro.cypher.parser import parse_query
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherError, PlanDivergenceError
-from repro.engine.plan import PlanCache
 from repro.gdb import EngineOptions, create_engine
 from repro.gdb.engines import EngineSpec
 from repro.graph import GraphGenerator
 from repro.graph.model import PropertyGraph
-from repro.obs.coverage import query_feature_tags
 
 
 def _outcome(engine, text):
@@ -207,30 +205,69 @@ class TestPlanCacheKeying:
         engine.execute(text)
         assert engine._plan_cache.compiles == compiles
 
-    def test_distinct_shapes_get_distinct_fingerprints(self):
-        texts = [
+    @staticmethod
+    def _engine():
+        engine = create_engine("falkordb", options=EngineOptions(
+            faults_enabled=False, execution_mode="compiled"))
+        graph = PropertyGraph()
+        graph.add_node(["Person"], {"id": 3})
+        graph.add_node(["Person"], {"id": 4})
+        engine.load_graph(graph)
+        return engine
+
+    def test_same_text_compiles_once_then_hits(self):
+        # Plans are keyed by exact query text, whether the caller passes
+        # the text or the tree it prints to.
+        texts = [print_query(parse_query(source)) for source in (
             "MATCH (a:Person) RETURN a.id",
             "MATCH (a:Person)-[r]->(b) RETURN a.id",
             "MATCH (a:Person) WHERE a.id = 3 RETURN a.id",
             "MATCH (a:Person) RETURN count(a)",
-        ]
-        keys = {
-            PlanCache.fingerprint(query_feature_tags(parse_query(t)), t)
-            for t in texts
-        }
-        assert len(keys) == len(texts)
+        )]
+        engine = self._engine()
+        for text in texts:
+            engine.execute(text)
+        cache = engine._plan_cache
+        assert (cache.compiles, cache.misses, cache.hits) == (4, 4, 0)
+        for text in texts:
+            engine.execute(parse_query(text))
+        tree = parse_query(texts[0])
+        engine.execute(tree, text=print_query(tree))
+        assert (cache.compiles, cache.misses, cache.hits) == (4, 4, 5)
 
-    def test_same_shape_different_text_does_not_collide(self):
-        # The fingerprint folds in the exact text: two queries sharing a
-        # feature shape but differing in constants must never share a plan
-        # slot (plans bake constants in at compile time).
-        left = "MATCH (a:Person) WHERE a.id = 3 RETURN a.id"
-        right = "MATCH (a:Person) WHERE a.id = 4 RETURN a.id"
-        tags_left = query_feature_tags(parse_query(left))
-        tags_right = query_feature_tags(parse_query(right))
-        assert PlanCache.fingerprint(tags_left, left) != PlanCache.fingerprint(
-            tags_right, right
+    def test_texts_differing_in_a_constant_compile_twice(self):
+        # Plans bake constants in at compile time, so two queries that
+        # differ only in a literal must never share a plan.
+        engine = self._engine()
+        left = engine.execute("MATCH (a:Person) WHERE a.id = 3 RETURN a.id")
+        right = engine.execute("MATCH (a:Person) WHERE a.id = 4 RETURN a.id")
+        assert engine._plan_cache.compiles == 2
+        assert engine._plan_cache.hits == 0
+        assert (left.rows, right.rows) == ([(3,)], [(4,)])
+
+    def test_compiled_grid_plan_counters(self, tmp_path):
+        # Recorded before plans were keyed by text alone (the key also
+        # folded in a feature-tag fingerprint): the change must not move
+        # a single hit, miss or compile.
+        from repro.core.reporting import load_event_stream
+        from repro.experiments.campaign import run_campaign_grid
+        from repro.obs.view import RunView
+
+        log = tmp_path / "grid.jsonl"
+        run_campaign_grid(
+            ["GQS", "Gamera"], ["neo4j", "falkordb"], seeds=(0, 1),
+            budget_seconds=1e9, max_queries=15, execution_mode="compiled",
+            record_metrics=True, events_path=log, jobs=1,
         )
+        counters = RunView.of(load_event_stream(log)).metrics["counters"]
+        assert {
+            key: value for key, value in counters.items()
+            if key.startswith("plan.") and "|" not in key
+        } == {
+            "plan.cache_hits": 52,
+            "plan.cache_misses": 138,
+            "plan.compiles": 138,
+        }
 
 
 class TestDualModeContract:
