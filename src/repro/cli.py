@@ -961,7 +961,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import serve
+    from repro.service.server import serve
 
     if args.chaos:
         from repro.runtime import ChaosConfig
@@ -987,13 +987,13 @@ def _cmd_serve(args) -> int:
 
 
 def _service_client(url):
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     return ServiceClient(url)
 
 
 def _cmd_submit(args) -> int:
-    from repro.service import ServiceError
+    from repro.service.client import ServiceError
 
     if args.spec:
         import json
@@ -1045,7 +1045,7 @@ def _cmd_submit(args) -> int:
 def _cmd_jobs(args) -> int:
     import json
 
-    from repro.service import ServiceError
+    from repro.service.client import ServiceError
 
     client = _service_client(args.url)
     try:
@@ -1087,7 +1087,7 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
-    from repro.service import ServiceError
+    from repro.service.client import ServiceError
 
     if not args.drain and not args.job:
         print("cancel: give a job ID or --drain", file=sys.stderr)

@@ -7,15 +7,16 @@ cross-clause data references.  This module computes those four metrics plus
 the per-clause-type histograms behind Figures 11 and 12.
 
 :class:`QueryFacts` gathers them, and the function, operator and
-pattern-shape lists the fault features and coverage tags read, in one walk
-of the tree; ``query.facts`` walks each tree once.
+pattern-shape lists and the predicate counters the fault features and
+coverage tags read, in one walk of the tree; ``query.facts`` walks each
+tree once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from repro.cypher import ast
 
@@ -32,6 +33,17 @@ AnyQuery = Union[ast.Query, ast.UnionQuery]
 
 # Path patterns longer than this are tagged ``path-3+``.
 _PATH_CAP = 3
+
+# Binary operators behind the fault features' predicate counters.
+_COUNTED_OPS = {
+    "STARTS WITH": "string_predicates",
+    "ENDS WITH": "string_predicates",
+    "CONTAINS": "string_predicates",
+    "%": "modulo_ops",
+    "/": "division_ops",
+    "XOR": "xor_ops",
+    "<>": "rel_inequality_predicates",
+}
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,25 @@ def _clause_names(clause: ast.Clause, names: List[str]) -> None:
         names.append("MERGE")
 
 
+def _counted_expressions(clause: ast.Clause) -> Iterator[Tuple[ast.Expression, bool]]:
+    """Pair each :func:`ast.walk_expressions` expression of *clause* with
+    whether the predicate counters count it.
+
+    Counted are MATCH and WITH ``WHERE``, the UNWIND expression, WITH and
+    RETURN items and SET values; not ORDER BY, SKIP, LIMIT, pattern
+    property maps, CALL arguments or DELETE targets.  Positions follow
+    ``walk_expressions``: property maps before a MATCH ``WHERE``, items
+    first and ``WHERE`` last in a WITH.
+    """
+    exprs = list(ast.walk_expressions(clause))
+    counted = [isinstance(clause, (ast.Unwind, ast.SetClause))] * len(exprs)
+    if isinstance(clause, (ast.With, ast.Return)):
+        counted[:len(clause.items)] = [True] * len(clause.items)
+    if isinstance(clause, (ast.Match, ast.With)) and clause.where is not None:
+        counted[-1] = True
+    return zip(exprs, counted)
+
+
 def _pattern_shapes(pattern: ast.PathPattern, shapes: List[str]) -> None:
     """Append the shape tags of *pattern*: length, direction, label arity."""
     length = len(pattern.relationships)
@@ -132,8 +163,12 @@ class QueryFacts:
 
     ``metrics`` are the Table 5 metrics.  ``clause_names`` (clauses and
     subclauses, Figure 11 accounting), ``functions`` (lower-cased),
-    ``operators`` and pattern ``shapes`` keep repeats, in tree order.  A
-    tree walks once: ``query.facts`` keeps the result on the tree.
+    ``operators`` and pattern ``shapes`` keep repeats, in tree order.
+    ``counts`` holds the predicate counters of
+    :class:`repro.gdb.faults.QueryFeatures`, by field name, over the
+    positions :func:`_counted_expressions` marks (``aggregate_count``
+    tallies ``count(*)`` only).  A tree walks once: ``query.facts`` keeps
+    the result on the tree.
     """
 
     metrics: QueryMetrics
@@ -141,6 +176,7 @@ class QueryFacts:
     functions: Tuple[str, ...]
     operators: Tuple[str, ...]
     shapes: Tuple[str, ...]
+    counts: Dict[str, int]
 
     @classmethod
     def of(cls, query: AnyQuery) -> "QueryFacts":
@@ -155,6 +191,7 @@ class QueryFacts:
             tuple(walk.functions),
             tuple(walk.operators),
             tuple(walk.shapes),
+            walk.counts,
         )
 
 
@@ -167,6 +204,7 @@ class _Walk:
         self.functions: List[str] = []
         self.operators: List[str] = []
         self.shapes: List[str] = []
+        self.counts: Dict[str, int] = {}
         self._seen: Set[str] = set()
 
     def query(self, sub: ast.Query) -> None:
@@ -183,8 +221,8 @@ class _Walk:
                 # in four clauses in Figure 1).
                 for name in pattern.variables():
                     self._use(name, ())
-            for expr in ast.walk_expressions(clause):
-                self.depth = max(self.depth, self._expression(expr, ()))
+            for expr, counted in _counted_expressions(clause):
+                self.depth = max(self.depth, self._expression(expr, (), counted))
             self._seen.update(_clause_bound_variables(clause))
 
     def _use(self, name: str, local: Tuple[str, ...]) -> None:
@@ -193,21 +231,46 @@ class _Walk:
         if name in self._seen and name not in local:
             self.dependencies += 1
 
-    def _expression(self, expr: ast.Expression, local: Tuple[str, ...]) -> int:
-        """Record *expr* and its subtree; return its nesting depth."""
+    def _count(self, name: str) -> None:
+        self.counts[name] = self.counts.get(name, 0) + 1
+
+    def _expression(
+        self, expr: ast.Expression, local: Tuple[str, ...], counted: bool
+    ) -> int:
+        """Record *expr* and its subtree; return its nesting depth.
+
+        *counted* says whether the subtree sits at a position the predicate
+        counters count.
+        """
         operators = self.operators
         if isinstance(expr, ast.Variable):
             self._use(expr.name, local)
         elif isinstance(expr, ast.FunctionCall):
-            self.functions.append(expr.name.lower())
-        elif isinstance(expr, (ast.Binary, ast.Unary)):
+            name = expr.name.lower()
+            self.functions.append(name)
+            if (counted and name == "replace" and len(expr.args) == 3
+                    and isinstance(expr.args[1], ast.Literal)
+                    and expr.args[1].value == ""):
+                self.counts["replace_with_empty"] = True
+        elif isinstance(expr, ast.Binary):
+            operators.append(expr.op)
+            if counted and expr.op in _COUNTED_OPS and (
+                expr.op != "<>" or (isinstance(expr.left, ast.Variable)
+                                    and isinstance(expr.right, ast.Variable))
+            ):
+                self._count(_COUNTED_OPS[expr.op])
+        elif isinstance(expr, ast.Unary):
             operators.append(expr.op)
         elif isinstance(expr, ast.IsNull):
             operators.append("IS NOT NULL" if expr.negated else "IS NULL")
         elif isinstance(expr, ast.CaseExpression):
             operators.append("CASE")
+            if counted:
+                self._count("case_count")
         elif isinstance(expr, ast.ListIndex):
             operators.append("[]")
+            if counted:
+                self._count("list_index_count")
         elif isinstance(expr, ast.ListSlice):
             operators.append("[..]")
         elif isinstance(expr, ast.ListComprehension):
@@ -219,9 +282,11 @@ class _Walk:
                 self._use(name, local)
         elif isinstance(expr, ast.CountStar):
             operators.append("count(*)")
+            if counted:
+                self._count("aggregate_count")
         depth = 0
         for child in expr.children():
-            depth = max(depth, self._expression(child, local))
+            depth = max(depth, self._expression(child, local, counted))
         return depth + 1
 
 

@@ -17,7 +17,7 @@ engine comparisons are reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cypher import ast
 from repro.engine.envelope import ENVELOPE
@@ -83,8 +83,10 @@ class Matcher:
             new_bindings = dict(bindings)
             if first.variable:
                 new_bindings[first.variable] = node
+            # The chain is kept only for a path variable to bind.
+            chain = ([node], []) if pattern.path_variable else (None, None)
             yield from self._extend(
-                pattern, 0, node, new_bindings, set(used_rels), [node], []
+                pattern, 0, node, new_bindings, set(used_rels), *chain
             )
 
     def _extend(
@@ -94,8 +96,8 @@ class Matcher:
         current: Node,
         bindings: Dict[str, Any],
         used_rels: Set[int],
-        chain_nodes: List[Node],
-        chain_rels: List[Relationship],
+        chain_nodes: Optional[List[Node]],
+        chain_rels: Optional[List[Relationship]],
     ) -> Iterator[Tuple[Dict[str, Any], Set[int]]]:
         if ENVELOPE.limit is not None:
             # One step per partial-chain extension: variable-length patterns
@@ -127,9 +129,12 @@ class Matcher:
                 new_bindings[next_node_pattern.variable] = target
             new_used = set(used_rels)
             new_used.add(rel.id)
+            if chain_nodes is not None:
+                chain = (chain_nodes + [target], chain_rels + [rel])
+            else:
+                chain = (None, None)
             yield from self._extend(
-                pattern, rel_index + 1, target, new_bindings, new_used,
-                chain_nodes + [target], chain_rels + [rel],
+                pattern, rel_index + 1, target, new_bindings, new_used, *chain
             )
 
     # -- candidates -----------------------------------------------------

@@ -180,6 +180,7 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
         functions=list(funcs),
         has_union=isinstance(query, ast.UnionQuery),
         query_hash=stable_hash(query_text),
+        **facts.counts,
     )
 
     conversions = {
@@ -188,7 +189,7 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
     }
     aggregates = {"count", "sum", "avg", "min", "max", "collect", "stdev", "stdevp"}
     features.conversion_functions = sum(1 for f in funcs if f in conversions)
-    features.aggregate_count = sum(1 for f in funcs if f in aggregates)
+    features.aggregate_count += sum(1 for f in funcs if f in aggregates)
 
     for sub in _flatten(query):
         saw_match = False
@@ -213,7 +214,6 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
                             features.multi_label_nodes += 1
                 if clause.where is not None:
                     features.has_where = True
-                    _scan_predicate(clause.where, features)
             elif isinstance(clause, ast.Unwind):
                 features.unwind_count += 1
                 if index == 0:
@@ -221,7 +221,6 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
                     features.unwind_before_match = True
                 if saw_match:
                     saw_unwind_after_match = True
-                _scan_predicate(clause.expression, features)
             elif isinstance(clause, ast.With):
                 features.with_count += 1
                 features.has_distinct |= clause.distinct
@@ -231,17 +230,12 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
                 features.has_skip |= clause.skip is not None
                 if clause.where is not None:
                     features.has_where = True
-                    _scan_predicate(clause.where, features)
-                for item in clause.items:
-                    _scan_predicate(item.expression, features)
             elif isinstance(clause, ast.Return):
                 features.has_distinct |= clause.distinct
                 features.has_order_by |= bool(clause.order_by)
                 features.has_desc_order |= any(o.descending for o in clause.order_by)
                 features.has_limit |= clause.limit is not None
                 features.has_skip |= clause.skip is not None
-                for item in clause.items:
-                    _scan_predicate(item.expression, features)
             elif isinstance(clause, ast.Call):
                 features.has_call = True
             elif isinstance(clause, ast.Create):
@@ -250,8 +244,6 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
                 features.merge_count += 1
             elif isinstance(clause, ast.SetClause):
                 features.set_count += len(clause.items)
-                for item in clause.items:
-                    _scan_predicate(item.value, features)
             elif isinstance(clause, ast.Delete):
                 if clause.detach:
                     features.detach_delete_count += 1
@@ -264,37 +256,6 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
                     else:
                         features.remove_label_count += 1
     return features
-
-
-def _scan_predicate(expr: ast.Expression, features: QueryFeatures) -> None:
-    """Accumulate operator/function statistics from an expression tree."""
-    if isinstance(expr, ast.Binary):
-        if expr.op in ("STARTS WITH", "ENDS WITH", "CONTAINS"):
-            features.string_predicates += 1
-        elif expr.op == "%":
-            features.modulo_ops += 1
-        elif expr.op == "/":
-            features.division_ops += 1
-        elif expr.op == "XOR":
-            features.xor_ops += 1
-        elif expr.op == "<>":
-            if isinstance(expr.left, ast.Variable) and isinstance(
-                expr.right, ast.Variable
-            ):
-                features.rel_inequality_predicates += 1
-    elif isinstance(expr, ast.CaseExpression):
-        features.case_count += 1
-    elif isinstance(expr, ast.CountStar):
-        features.aggregate_count += 1
-    elif isinstance(expr, ast.ListIndex):
-        features.list_index_count += 1
-    elif isinstance(expr, ast.FunctionCall):
-        if expr.name.lower() == "replace" and len(expr.args) == 3:
-            search = expr.args[1]
-            if isinstance(search, ast.Literal) and search.value == "":
-                features.replace_with_empty = True
-    for child in expr.children():
-        _scan_predicate(child, features)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,16 @@ Layers (each importable on its own):
 * :mod:`repro.service.server` — the asyncio HTTP face (``repro serve``);
 * :mod:`repro.service.client` — the urllib client (``repro submit`` …).
 
+The package exports the scheduler layers only: every campaign grid runs
+on the scheduler, and importing the HTTP face and client here would load
+``asyncio``, ``urllib`` and ``ssl`` into every campaign.  Import
+``serve``/``ServiceServer`` and ``ServiceClient``/``ServiceError`` from
+their modules.
+
 See ``docs/service.md`` for the API reference, the lease/heartbeat state
 machine, the failure-handling matrix, and the recovery guarantees.
 """
 
-from repro.service.client import ServiceClient, ServiceError
 from repro.service.scheduler import (
     Backpressure,
     CampaignScheduler,
@@ -29,7 +34,6 @@ from repro.service.scheduler import (
     ServiceDraining,
     replay_service_journal,
 )
-from repro.service.server import ServiceServer, serve
 from repro.service.spec import JobSpec
 from repro.service.worker import lease_worker_main
 
@@ -38,11 +42,7 @@ __all__ = [
     "CampaignScheduler",
     "JobSpec",
     "JournalError",
-    "ServiceClient",
-    "ServiceError",
     "ServiceDraining",
-    "ServiceServer",
     "lease_worker_main",
     "replay_service_journal",
-    "serve",
 ]

@@ -1,11 +1,12 @@
-"""QueryFacts: one walk per tree in place of five.
+"""QueryFacts: one walk per tree in place of six.
 
 The reference functions below are copies of the separate walks that
 ``QueryFacts`` replaced — ``analyze``, ``clause_types_in`` and
-``functions_in`` from :mod:`repro.cypher.analysis`, and the operator and
-pattern-shape walks of :mod:`repro.obs.coverage`.  Over synthesized,
-baseline-generated and write queries the one walk must agree with every
-one of them, repeats and order included.
+``functions_in`` from :mod:`repro.cypher.analysis`, the operator and
+pattern-shape walks of :mod:`repro.obs.coverage`, and the fault features'
+predicate scan (``_scan_predicate`` of :mod:`repro.gdb.faults`).  Over
+synthesized, baseline-generated and write queries the one walk must agree
+with every one of them, repeats and order included.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.cypher import ast
 from repro.cypher.analysis import QueryFacts, QueryMetrics, analyze
 from repro.cypher.parser import parse_query
 from repro.cypher.printer import print_query
+from repro.gdb.faults import QueryFeatures, extract_features
 from repro.graph.generator import GraphGenerator
 from repro.synth.state.model import StateModel
 from repro.synth.state.statements import build_statement
@@ -218,6 +220,72 @@ def reference_pattern_shapes_in(query) -> List[str]:
     return shapes
 
 
+def _scan_predicate(expr: ast.Expression, features: QueryFeatures) -> None:
+    """Accumulate operator/function statistics from an expression tree."""
+    if isinstance(expr, ast.Binary):
+        if expr.op in ("STARTS WITH", "ENDS WITH", "CONTAINS"):
+            features.string_predicates += 1
+        elif expr.op == "%":
+            features.modulo_ops += 1
+        elif expr.op == "/":
+            features.division_ops += 1
+        elif expr.op == "XOR":
+            features.xor_ops += 1
+        elif expr.op == "<>":
+            if isinstance(expr.left, ast.Variable) and isinstance(
+                expr.right, ast.Variable
+            ):
+                features.rel_inequality_predicates += 1
+    elif isinstance(expr, ast.CaseExpression):
+        features.case_count += 1
+    elif isinstance(expr, ast.CountStar):
+        features.aggregate_count += 1
+    elif isinstance(expr, ast.ListIndex):
+        features.list_index_count += 1
+    elif isinstance(expr, ast.FunctionCall):
+        if expr.name.lower() == "replace" and len(expr.args) == 3:
+            search = expr.args[1]
+            if isinstance(search, ast.Literal) and search.value == "":
+                features.replace_with_empty = True
+    for child in expr.children():
+        _scan_predicate(child, features)
+
+
+#: The QueryFeatures fields the predicate scan fills.
+SCANNED_FIELDS = (
+    "string_predicates", "modulo_ops", "division_ops", "xor_ops",
+    "rel_inequality_predicates", "case_count", "aggregate_count",
+    "list_index_count", "replace_with_empty",
+)
+
+_AGGREGATES = {"count", "sum", "avg", "min", "max", "collect", "stdev", "stdevp"}
+
+
+def reference_scanned_features(query):
+    """The predicate counters as ``extract_features`` computed them with
+    ``_scan_predicate``, scanning the same positions it scanned."""
+    features = QueryFeatures(metrics=None, clause_names=[], functions=[])
+    features.aggregate_count = sum(
+        1 for name in reference_functions_in(query) if name in _AGGREGATES
+    )
+    for sub in _flatten(query):
+        for clause in sub.clauses:
+            if isinstance(clause, ast.Match):
+                if clause.where is not None:
+                    _scan_predicate(clause.where, features)
+            elif isinstance(clause, ast.Unwind):
+                _scan_predicate(clause.expression, features)
+            elif isinstance(clause, (ast.With, ast.Return)):
+                if isinstance(clause, ast.With) and clause.where is not None:
+                    _scan_predicate(clause.where, features)
+                for item in clause.items:
+                    _scan_predicate(item.expression, features)
+            elif isinstance(clause, ast.SetClause):
+                for item in clause.items:
+                    _scan_predicate(item.value, features)
+    return {name: getattr(features, name) for name in SCANNED_FIELDS}
+
+
 # -- the query population ------------------------------------------------------
 
 # Constructs the generators rarely or never emit: comprehension scoping
@@ -238,6 +306,22 @@ HANDWRITTEN = [
     "MATCH (a {id: 1}) CREATE (a)-[:T {w: a.id}]->(b:New {id: 9}) RETURN b",
     "MERGE (a:A {id: 3}) SET a.x = a.id + 1 REMOVE a.y, a:A RETURN a",
     "MATCH (a)-[r]->(b) DELETE r DETACH DELETE a",
+]
+
+# Every counted construct at positions the predicate scan skips (pattern
+# property maps, ORDER BY, SKIP, LIMIT, CALL arguments, DELETE targets)
+# beside the positions it counts.
+SCAN_POSITIONS = [
+    "MATCH (a {id: 5 % 2})-[r {w: 1 / 2}]->(b) WITH a, b "
+    "ORDER BY CASE WHEN a.id > 1 THEN a.x / 2 END SKIP 1 % 1 LIMIT [1][0] "
+    "WHERE a.name STARTS WITH 'x' RETURN a <> b AS c, count(*) AS k, "
+    "replace(a.s, '', 'y') AS z ORDER BY k % 2, c XOR true",
+    "CALL db.labels(1 % 2, count(*)) YIELD label RETURN label",
+    "MATCH (a) WHERE a.s ENDS WITH 'q' DETACH DELETE [a][0]",
+    "MERGE (a {id: 1 % 2}) CREATE (b {x: CASE WHEN true THEN 1 END}) "
+    "SET a.x = CASE WHEN a.id <> 1 THEN [1][0] END, a.y = a.s CONTAINS 'q'",
+    "UNWIND [1 % 2, 3 / 4, replace('a', '', 'b')] AS x "
+    "WITH x, count(*) AS n ORDER BY x XOR false RETURN x",
 ]
 
 
@@ -282,6 +366,13 @@ class TestQueryFactsEquivalence:
             assert list(facts.functions) == reference_functions_in(query), text
             assert list(facts.operators) == reference_operators_in(query), text
             assert list(facts.shapes) == reference_pattern_shapes_in(query), text
+
+    def test_predicate_counters_match_the_predicate_scan(self, population):
+        for query in population + [parse_query(t) for t in SCAN_POSITIONS]:
+            text = print_query(query)
+            features = extract_features(query, text)
+            folded = {name: getattr(features, name) for name in SCANNED_FIELDS}
+            assert folded == reference_scanned_features(query), text
 
     def test_facts_are_walked_once_per_tree(self):
         query = parse_query(HANDWRITTEN[1])

@@ -140,6 +140,14 @@ class TestJobSpec:
         with pytest.raises(TypeError):
             JobSpec(no_such_option=1)
 
+    def test_decomposes_into_one_cell_per_supported_triple(self):
+        spec = JobSpec.from_dict(spec_dict(testers=["GQS", "GQT"],
+                                           engines=[ENGINE, "memgraph"]))
+        # GQT does not support memgraph.
+        assert [(c.tester, c.engine) for c in spec.cells()] == [
+            ("GQS", ENGINE), ("GQS", "memgraph"), ("GQT", ENGINE),
+        ]
+
     def test_rejects_empty_decomposition(self):
         # GDsmith does not support kuzu: the whole grid is skipped cells.
         spec = JobSpec.from_dict(
@@ -365,7 +373,7 @@ class TestHttpRoutes:
 
     @pytest.fixture
     def server(self, tmp_path):
-        from repro.service import ServiceServer
+        from repro.service.server import ServiceServer
 
         scheduler = CampaignScheduler(tmp_path / "svc.jsonl", jobs=1,
                                       capacity=2, **FAST)
@@ -425,7 +433,8 @@ class TestHttpEndToEnd:
     def test_client_against_live_server(self, tmp_path):
         import asyncio
 
-        from repro.service import ServiceClient, ServiceServer
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceServer
 
         scheduler = CampaignScheduler(tmp_path / "svc.jsonl", jobs=1,
                                       **FAST)
@@ -454,7 +463,8 @@ class TestHttpEndToEnd:
     def test_malformed_specs_are_400_over_http(self, tmp_path):
         import asyncio
 
-        from repro.service import ServiceClient, ServiceError, ServiceServer
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.server import ServiceServer
 
         scheduler = CampaignScheduler(tmp_path / "svc.jsonl", jobs=1,
                                       **FAST)
@@ -687,3 +697,27 @@ class TestWatchJson:
         # The folded cells carry the service lease lifecycle.
         assert all(cell["status"] == "done"
                    for cell in follower.view.cells.values())
+
+
+# -- import cost ---------------------------------------------------------------
+
+
+def test_campaigns_do_not_load_the_http_service():
+    """Every grid runs on the scheduler, but the HTTP face and its client
+    stay unloaded: a fresh interpreter that imports the campaign entry
+    point and runs a one-cell grid never imports asyncio, urllib.request
+    or ssl."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "import repro.experiments.campaign as campaign\n"
+        "campaign.run_campaign_grid(['GQS'], ['neo4j'], budget_seconds=1.0)\n"
+        "print(sorted(name for name in ('asyncio', 'urllib.request', 'ssl')\n"
+        "             if name in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
