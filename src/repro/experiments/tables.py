@@ -178,9 +178,6 @@ def table4(
                     missed[tool][engine_name] += 1
                     continue
                 tester = make_tester(tool, engine_name)
-                engine = create_engine(engine_name)
-                # Load the same graph state the bug was triggered on.
-                generator_engine = create_engine(engine_name)
                 flagged = _replay(tester, engine_name, query, rng, record)
                 if not flagged:
                     missed[tool][engine_name] += 1
@@ -253,36 +250,29 @@ def table5(n_queries: int = 400, seed: int = 0) -> List[Dict[str, object]]:
         ("GRev", GRevTester()),
     ]
     for tool_name, tester in tool_rows:
-        metrics = _average_metrics_for_generator(tester.profile, n_queries, seed)
+        metrics = _average_metrics(
+            n_queries, seed,
+            lambda graph, rng: RandomQueryGenerator(
+                graph, rng, tester.profile).generate(),
+        )
         rows.append({"Tester": tool_name, **metrics})
-    rows.append({"Tester": "GQS", **_average_metrics_for_gqs(n_queries, seed)})
+    metrics = _average_metrics(
+        n_queries, seed,
+        lambda graph, rng: QuerySynthesizer(graph, rng=rng).synthesize().query,
+    )
+    rows.append({"Tester": "GQS", **metrics})
     return rows
 
 
-def _average_metrics_for_generator(profile, n_queries: int, seed: int):
+def _average_metrics(n_queries: int, seed: int, make_query):
+    """Table 5's averages over the queries ``make_query(graph, rng)`` builds
+    for indices ``seed .. seed + n_queries - 1``, each on the graph that
+    index seeds and with an RNG seeded by it."""
     totals = {"Pattern": 0.0, "Expression": 0.0, "Clause": 0.0, "Dependency": 0.0}
-    for index in range(n_queries):
-        generator = GraphGenerator(seed=seed + index)
-        schema, graph = generator.generate_with_schema()
-        qgen = RandomQueryGenerator(graph, random.Random(seed + index), profile)
-        query = parse_query(print_query(qgen.generate()))
-        metrics = analyze(query)
-        totals["Pattern"] += metrics.patterns
-        totals["Expression"] += metrics.expression_depth
-        totals["Clause"] += metrics.clauses
-        totals["Dependency"] += metrics.dependencies
-    return {key: round(value / n_queries, 2) for key, value in totals.items()}
-
-
-def _average_metrics_for_gqs(n_queries: int, seed: int):
-    totals = {"Pattern": 0.0, "Expression": 0.0, "Clause": 0.0, "Dependency": 0.0}
-    for index in range(n_queries):
-        generator = GraphGenerator(seed=seed + index)
-        schema, graph = generator.generate_with_schema()
-        synthesizer = QuerySynthesizer(graph, rng=random.Random(seed + index))
-        result = synthesizer.synthesize()
-        query = parse_query(print_query(result.query))
-        metrics = analyze(query)
+    for index in range(seed, seed + n_queries):
+        _schema, graph = GraphGenerator(seed=index).generate_with_schema()
+        query = make_query(graph, random.Random(index))
+        metrics = analyze(parse_query(print_query(query)))
         totals["Pattern"] += metrics.patterns
         totals["Expression"] += metrics.expression_depth
         totals["Clause"] += metrics.clauses

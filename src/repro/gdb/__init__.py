@@ -5,7 +5,6 @@ from repro.gdb.dialects import DIALECTS, FALKORDB, KUZU, MEMGRAPH, NEO4J, Dialec
 from repro.gdb.engines import (
     ALL_ENGINE_NAMES,
     EngineOptions,
-    EngineSpec,
     FalkorDBSim,
     GraphDatabase,
     KuzuSim,
@@ -30,7 +29,6 @@ __all__ = [
     "FalkorDBSim",
     "ReferenceGDB",
     "EngineOptions",
-    "EngineSpec",
     "create_engine",
     "ALL_ENGINE_NAMES",
     "Fault",

@@ -16,7 +16,7 @@ root-cause deduplication the paper performs (§7, Limitations).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Union
 
@@ -53,7 +53,6 @@ __all__ = [
     "FalkorDBSim",
     "ReferenceGDB",
     "EngineOptions",
-    "EngineSpec",
     "create_engine",
     "ALL_ENGINE_NAMES",
     "EXECUTION_MODES",
@@ -78,7 +77,7 @@ class EngineOptions:
     the default ``restart`` behavior for :meth:`GraphDatabase.load_graph` /
     :meth:`GraphDatabase.session`, and the execution mode.  Everything that
     builds engines — :class:`GraphDatabase` and subclasses,
-    :func:`create_engine`, :class:`EngineSpec` — accepts one of these.
+    :func:`create_engine` — accepts one of these.
     """
 
     faults_enabled: bool = True
@@ -256,9 +255,10 @@ class GraphDatabase:
     def spec(self) -> Dict[str, Any]:
         """The JSON-ready recipe that rebuilds this engine configuration.
 
-        Mirrors :class:`EngineSpec`'s fields; the flight recorder embeds it
-        in repro bundles so ``repro replay`` can construct a replica with
-        the same fault switch and gate scale.
+        The :class:`EngineOptions` fields an engine is rebuilt from, with
+        its name; the flight recorder embeds it in repro bundles so ``repro
+        replay`` can construct a replica with the same fault switch, gate
+        scale and execution mode.
         """
         return {
             "name": self.name,
@@ -655,42 +655,3 @@ def create_engine(
     except KeyError:
         raise ValueError(f"unknown engine {name!r}") from None
     return cls(options=options)
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """Picklable recipe for building an engine inside a worker process.
-
-    Engine instances hold a loaded graph and a live executor, so they never
-    cross process boundaries; the parallel campaign runner ships this spec
-    instead and each worker calls :meth:`create` locally.  The tuning
-    fields are keyword-only, matching :func:`create_engine`; the
-    :class:`EngineOptions` bridge (:meth:`from_options` / :meth:`options`)
-    converts between the two forms without changing the pickled layout or
-    the flight-recorder bundle format.
-    """
-
-    name: str
-    _: KW_ONLY
-    faults_enabled: bool = True
-    gate_scale: float = 1.0
-    execution_mode: str = "interpreted"
-
-    @classmethod
-    def from_options(cls, name: str, options: EngineOptions) -> "EngineSpec":
-        return cls(
-            name,
-            faults_enabled=options.faults_enabled,
-            gate_scale=options.gate_scale,
-            execution_mode=options.execution_mode,
-        )
-
-    def options(self) -> EngineOptions:
-        return EngineOptions(
-            faults_enabled=self.faults_enabled,
-            gate_scale=self.gate_scale,
-            execution_mode=self.execution_mode,
-        )
-
-    def create(self) -> GraphDatabase:
-        return create_engine(self.name, self.options())

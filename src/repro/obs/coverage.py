@@ -18,8 +18,8 @@ Design rules mirror :mod:`repro.obs.metrics`:
 * per-cell snapshots are plain JSON dicts with sorted keys, and
   :func:`merge_coverage_snapshots` folds any number of them in **sorted
   cell order**, so the merged grid coverage is independent of worker count
-  and completion order (the same barrier-merge discipline as
-  :func:`repro.obs.metrics.merge_snapshots`).
+  and completion order (the order :class:`repro.obs.view.RunView`
+  merges every kind of snapshot in).
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def _cell_key(snapshot: Dict[str, Any]) -> Tuple[str, str, int]:
 def merge_coverage_snapshots(
     snapshots: Iterable[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Barrier-merge per-cell coverage snapshots into one grid snapshot.
+    """Merge per-cell coverage snapshots into one grid snapshot.
 
     Cells are folded in sorted (tester, engine, seed) order, so the merged
     feature counts, the grid-level first-seen indices (computed over the

@@ -7,9 +7,10 @@ stage of the pipeline pays for a detected bug.  Three design rules keep it
 compatible with the runtime's determinism guarantees:
 
 * **Fixed bucket edges.**  Histograms never rebucket; every worker uses the
-  same edges, so merging per-worker snapshots is a plain element-wise sum —
-  associative, commutative, and therefore independent of worker count and
-  completion order.
+  same edges, so merging per-worker snapshots is a plain element-wise sum.
+  Bucket counts sum the same in any order; float ``sum`` fields do not, so
+  the log views merge cells in sorted cell order, independent of worker
+  count and completion order.
 * **Deterministic vs. timing sections.**  A snapshot separates values that
   are functions of the (seeded) campaign alone (``counters``, ``gauges``,
   ``histograms``) from wall-clock profiling data (``timings``).  The former
@@ -279,10 +280,10 @@ def _merge_histogram(
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge per-worker snapshots into one.
 
-    Counters and histogram buckets sum; gauges take the max.  The operation
-    is associative and commutative, so any merge tree over any worker
-    partition produces the same result — the property the parallel runner's
-    barrier merge relies on.
+    Counters and histogram buckets sum; gauges take the max.  Integer
+    counts merge the same in any order, but float sums (histogram ``sum``)
+    round differently, so a byte-stable merge needs a fixed input order:
+    :class:`repro.obs.view.RunView` merges cells in sorted cell order.
     """
     counters: Dict[str, Any] = {}
     gauges: Dict[str, Any] = {}

@@ -16,9 +16,9 @@ taken at import time stay valid.  The disabled path is one attribute load
 plus a branch; nothing is allocated.
 
 Enabling is scoped (:func:`observed` is a context manager) and per-process:
-each parallel campaign worker enables its own registry and the parent
-merges the resulting snapshots at the barrier (see
-:mod:`repro.runtime.parallel`).
+each campaign cell enables its own registry and writes its snapshot to
+the event log, and the log's views merge them (see
+:class:`repro.obs.view.RunView`).
 
 Instrumentation MUST NOT perturb the campaign RNG streams: nothing in this
 package draws randomness, and probes only ever read campaign state.

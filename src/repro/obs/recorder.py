@@ -83,17 +83,16 @@ def _execute_side_unprobed(
     bundle: Dict[str, Any], *, faults_enabled: bool
 ) -> Dict[str, Any]:
     from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
-    from repro.gdb.engines import EngineSpec
+    from repro.gdb.engines import EngineOptions, create_engine
     from repro.graph.model import PropertyGraph
     from repro.graph.schema import GraphSchema
 
     spec = bundle["engine_spec"]
-    engine = EngineSpec(
-        spec["name"],
+    engine = create_engine(spec["name"], EngineOptions(
         faults_enabled=faults_enabled and spec.get("faults_enabled", True),
         gate_scale=spec.get("gate_scale", 1.0),
         execution_mode=spec.get("execution_mode", "interpreted"),
-    ).create()
+    ))
     graph = PropertyGraph.from_dict(bundle["graph"])
     schema = (
         GraphSchema.from_dict(bundle["schema"])

@@ -20,8 +20,8 @@ signatures**:
 :class:`CellTriage` accumulates signatures per (tester, engine, seed) cell
 — occurrence counts plus the first-seen query/seed/sim-time — and
 :func:`merge_triage_snapshots` folds cells in sorted order so grid-level
-bug tables are identical for any worker count, the same barrier-merge
-discipline as the metrics and coverage snapshots.
+bug tables are identical for any worker count, the same discipline as the
+metrics and coverage merges.
 
 Nothing here draws randomness or changes control flow: campaign results are
 byte-identical with triage on or off.
@@ -91,7 +91,7 @@ def signature_for(report: BugReport) -> str:
     shape = normalize_detail(report.kind, report.detail)
     features = _minimal_feature_set(report.query_text)
     # SHA-256, not the per-process-salted hash(): fingerprints must agree
-    # across workers for the barrier merge (same rule as derive_cell_seed).
+    # across workers for the grid merge (same rule as derive_cell_seed).
     digest = hashlib.sha256(
         f"{shape}#{','.join(features)}".encode("utf-8")
     ).hexdigest()[:8]
@@ -154,7 +154,7 @@ def _cell_key(snapshot: Dict[str, Any]) -> Tuple[str, str, int]:
 def merge_triage_snapshots(
     snapshots: Iterable[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Barrier-merge per-cell triage snapshots into one distinct-bug table.
+    """Merge per-cell triage snapshots into one distinct-bug table.
 
     Cells fold in sorted (tester, engine, seed) order: counts sum, the
     first-seen record comes from the first cell (in that order) holding the

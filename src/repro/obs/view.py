@@ -1,10 +1,9 @@
 """One fold over a campaign event log, behind every view of it.
 
 ``repro stats``/``trace``/``coverage``/``bugs``, their ``--format json``
-twins, ``repro watch``, ``repro report``, the Chrome trace and the grid
-barrier all read a :class:`RunView`: the events are folded once, and each
-view only renders the result, so no two views can disagree about which
-events count.
+twins, ``repro watch``, ``repro report`` and the Chrome trace all read a
+:class:`RunView`: the events are folded once, and each view only renders
+the result, so no two views can disagree about which events count.
 
 * **Counting rule.**  An attempt counts only if its checkpoint is in the
   log.  A cell's campaign-scope snapshots, spans, faults and bundles
@@ -13,7 +12,12 @@ events count.
   last ``cell_complete`` counts.  An attempt whose checkpoint was torn is
   abandoned — the resume that re-ran it is what counts.  A log with no
   ``cell_complete`` at all (a bare ``repro run``) counts every campaign.
-  Without counted campaign-scope snapshots, the grid rollups render.
+  Snapshots, spans, faults, bundles and ``harness_error`` events follow
+  this rule; failures, retries, quarantines and chaos truncations describe
+  attempts and are all counted.  Only campaign-scope snapshots are read
+  (older grid logs also carry grid-scope rollups; they are ignored), and
+  they merge in sorted (tester, engine, seed) order, so a grid's merges do
+  not depend on the order its cells completed in.
 * **Finish rule.**  A service log has finished on ``service_stop``; a grid
   log when its last ``grid_start`` is closed by a ``grid_end``; a bare
   campaign log when its campaigns balance.
@@ -38,15 +42,23 @@ __all__ = ["RunView"]
 Event = Dict[str, Any]
 CellKey = Tuple[Any, Any, Any]
 
-#: Snapshot-carrying event kinds (campaign scope per cell, or rollups).
+#: Snapshot-carrying event kinds (one campaign-scope snapshot per cell).
 SNAPSHOT_KINDS = ("metrics", "coverage", "triage", "adaptation")
 #: Per-attempt event kinds that count only when their attempt does.
-_ATTEMPT_KINDS = ("span", "fault", "bundle")
+_ATTEMPT_KINDS = ("span", "fault", "bundle", "harness_error")
 
 
 def _key(event: Event) -> CellKey:
     return (event.get("tester", "?"), event.get("engine", "?"),
             event.get("seed", "?"))
+
+
+def _cell_order(event: Event) -> Tuple[str, str, Tuple[int, Any]]:
+    """Sort key of an event's cell; integer seeds sort numerically and
+    before non-integer ones (``"?"`` on hand-written logs)."""
+    tester, engine, seed = _key(event)
+    rank = (0, seed) if isinstance(seed, int) else (1, str(seed))
+    return (str(tester), str(engine), rank)
 
 
 def _label(key: Iterable[Any]) -> str:
@@ -87,7 +99,6 @@ class RunView:
         self._open: Dict[CellKey, Dict[str, List[Event]]] = {}
         self._sealed: Dict[CellKey, Dict[str, List[Event]]] = {}
         self._owner: Optional[CellKey] = None
-        self._rollups: Dict[str, List[Event]] = {}
         self._merged: Dict[str, Any] = {}
 
     @classmethod
@@ -132,9 +143,8 @@ class RunView:
         self.events += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._merged.clear()
-        if kind in SNAPSHOT_KINDS and event.get("scope") != "campaign":
-            self._rollups.setdefault(kind, []).append(event)
-        elif kind in SNAPSHOT_KINDS or kind in _ATTEMPT_KINDS:
+        if kind in _ATTEMPT_KINDS or (kind in SNAPSHOT_KINDS
+                                      and event.get("scope") == "campaign"):
             self._loose.setdefault(kind, []).append(event)
             if self._owner is not None:
                 self._open[self._owner].setdefault(kind, []).append(event)
@@ -280,13 +290,8 @@ class RunView:
                 for event in attempt.get(kind, ())]
 
     def snapshots(self, kind: str) -> List[Event]:
-        """Counted campaign-scope snapshot events, else the grid rollups."""
-        return self._counted(kind) or list(self._rollups.get(kind, ()))
-
-    def sealed_snapshots(self, kind: str, key: CellKey) -> List[Dict]:
-        """The snapshots of *kind* one cell's last checkpoint sealed."""
-        return [_payload(event)
-                for event in self._sealed.get(key, {}).get(kind, ())]
+        """Counted campaign-scope snapshot events, in cell order."""
+        return sorted(self._counted(kind), key=_cell_order)
 
     @property
     def spans(self) -> List[Event]:
@@ -321,10 +326,6 @@ class RunView:
 
     @property
     def adaptation(self) -> Optional[Dict[str, Any]]:
-        """Merged adaptation counters; a lone grid rollup as recorded."""
-        if not self._counted("adaptation"):
-            rollups = self._rollups.get("adaptation")
-            return (rollups[0].get("snapshot") or {}) if rollups else None
         # Imported here: repro.obs must not import the runtime layer at
         # module scope (the runtime kernel imports repro.obs).
         from repro.runtime.adapt import merge_adaptation_snapshots
@@ -370,11 +371,12 @@ class RunView:
 
     @property
     def supervisor(self) -> Dict[str, Any]:
-        """Failure, retry and quarantine accounting of the whole log."""
+        """Failure, retry and quarantine accounting: every attempt's
+        failures, the counted attempts' harness errors."""
         return {
             "failed_by_kind": dict(sorted(self.failed_by_kind.items())),
             "retries": self.counts.get("cell_retry", 0),
             "quarantined": self.counts.get("cell_quarantined", 0),
-            "harness_errors": self.counts.get("harness_error", 0),
+            "harness_errors": len(self._counted("harness_error")),
             "chaos_truncations": self.counts.get("chaos", 0),
         }

@@ -502,9 +502,10 @@ def merge_adaptation_snapshots(
 
     Cells are folded in sorted (tester, engine, seed) order so the merge is
     byte-identical regardless of completion order — same contract as the
-    coverage and triage barriers.  Per-cell snapshots carry their cell
-    identity under ``tester``/``engine``/``seed`` (added by the kernel's
-    ``adaptation`` event envelope and re-attached by the barrier).
+    coverage and triage merges.  Per-cell snapshots carry their cell
+    identity under ``tester``/``engine``/``seed`` (the kernel's
+    ``adaptation`` event envelope, re-attached by
+    :class:`repro.obs.view.RunView`).
     """
     merged: Dict[str, Any] = {
         "arms": {},

@@ -9,11 +9,11 @@ the campaign service runs, without HTTP:
 
 * **Determinism** — each cell's seed is fixed *in the cell spec*, before
   any work is scheduled, and results are merged back keyed by cell in grid
-  order, so the returned dict and every barrier merge are byte-identical
-  for ``jobs=1`` and ``jobs=8``.  Replicate seeds are derived with
-  :func:`derive_cell_seed` (SHA-256 over the cell identity — never
-  Python's salted ``hash``), stable across worker counts, platforms and
-  runs.
+  order, so the returned dict and every cell's checkpoint are
+  byte-identical for ``jobs=1`` and ``jobs=8``.  Replicate seeds are
+  derived with :func:`derive_cell_seed` (SHA-256 over the cell identity —
+  never Python's salted ``hash``), stable across worker counts, platforms
+  and runs.
 * **Worker safety** — workers receive only primitives (names, numbers
   and the cell's :class:`CellConfig` as a dict) and rebuild the
   engine/tester inside the child, so nothing unpicklable crosses the
@@ -30,6 +30,10 @@ the campaign service runs, without HTTP:
   resumes N cells, no matter where they sat in the grid.  A grid re-run
   with ``resume_path=...`` recovers every cell already on record through
   the scheduler's journal replay and runs only the rest.
+
+The log records each fact once: the per-cell snapshots and checkpoints,
+framed by ``grid_start`` and ``grid_end``.  Grid totals are a view of the
+log (:class:`repro.obs.view.RunView`), not events in it.
 """
 
 from __future__ import annotations
@@ -217,8 +221,7 @@ def _run_cell(spec: Dict[str, Any]) -> Tuple[Dict, List[Dict]]:
     With ``record_metrics`` the cell runs under a *fresh* per-cell
     observability scope (see :func:`repro.experiments.campaign.run_cell`),
     so each cell's ``metrics`` event snapshot covers exactly that cell,
-    also when attempts share the scheduler's process — the invariant the
-    deterministic barrier merge depends on.
+    also when attempts share the scheduler's process.
     """
     from repro.core.reporting import campaign_to_dict
     from repro.experiments.campaign import run_cell
@@ -292,7 +295,7 @@ class ParallelCampaignRunner:
         prior: List[Dict] = []
         if resume_path is not None and Path(resume_path).exists():
             prior = load_event_stream(resume_path)
-        done, snapshots, _ = _fold(prior, keys)
+        done = _fold(prior, keys)
         pending = [cell for cell in cells if cell.key not in done]
         record_metrics = any(cell.config.record_metrics for cell in cells)
         with EventLog(self.events_path, record_spans=record_metrics) as log:
@@ -314,14 +317,9 @@ class ParallelCampaignRunner:
                     scheduler.run_until(timeout=None)
                 finally:
                     scheduler.close()
-            ran = log.events[first:]
-            fresh, fresh_snapshots, view = _fold(ran, keys)
-            done.update(fresh)
-            snapshots.update(fresh_snapshots)
-            stats = _supervisor_stats(view.supervisor)
-            _emit_barriers(log, keys, snapshots, stats, record_metrics)
+            done.update(_fold(log.events[first:], keys))
             log.emit("grid_end", cells=len(keys), completed=len(done),
-                     quarantined=stats["quarantined"])
+                     quarantined=len(keys) - len(done))
         return {key: done[key] for key in keys if key in done}
 
     def _spec(self, cell: CampaignCell) -> Dict[str, Any]:
@@ -330,89 +328,14 @@ class ParallelCampaignRunner:
                                 self.reduce_bundles)
 
 
-def _fold(events: Sequence[Dict], keys: Sequence[CellKey]):
-    """(results, snapshots, view) of the grid cells a log checkpointed.
-
-    Checkpoints come from the scheduler's journal replay (the last one of
-    a cell wins); snapshots are what the log's
-    :class:`~repro.obs.view.RunView` counts for those cells — the
-    campaign-scope snapshots each cell's last checkpoint sealed — keyed
-    by cell, so barrier merges fold them in grid order no matter the
-    completion order (the byte-identity invariant across job counts).
-    """
+def _fold(
+    events: Sequence[Dict], keys: Sequence[CellKey],
+) -> Dict[CellKey, CampaignResult]:
+    """Results of the grid cells *events* checkpointed (through the
+    scheduler's journal replay: the last checkpoint of a cell wins)."""
     from repro.core.reporting import campaign_from_dict
-    from repro.obs.view import SNAPSHOT_KINDS, RunView
     from repro.service.scheduler import replay_service_journal
 
     recorded = replay_service_journal(events)["cells"]
-    done = {key: campaign_from_dict(recorded[key]["campaign"])
+    return {key: campaign_from_dict(recorded[key]["campaign"])
             for key in keys if key in recorded}
-    view = RunView.of(events)
-    snapshots = {key: {kind: view.sealed_snapshots(kind, key)
-                       for kind in SNAPSHOT_KINDS}
-                 for key in done}
-    return done, snapshots, view
-
-
-def _supervisor_stats(counts: Dict[str, Any]) -> Dict[str, int]:
-    """Failure accounting of one grid run, from its view's counts."""
-    failed = counts["failed_by_kind"]
-    return {"failed": sum(failed.values()), "retried": counts["retries"],
-            "timeouts": failed.get("timeout", 0),
-            "crashes": failed.get("crash", 0),
-            "quarantined": counts["quarantined"],
-            "truncated": counts["chaos_truncations"]}
-
-
-def _emit_barriers(
-    log: EventLog,
-    keys: Sequence[CellKey],
-    snapshots: Dict[CellKey, Dict[str, List[Dict]]],
-    stats: Dict[str, int],
-    record_metrics: bool,
-) -> None:
-    """Grid-scope barrier merges, folded in grid order (byte-stable).
-
-    Metrics fold element-wise (fixed bucket edges); coverage, triage and
-    adaptation merges fold cells in sorted (tester, engine, seed) order —
-    either way the result is independent of worker count and completion
-    order.  Supervisor counters join the metrics merge, and a
-    ``supervisor`` event is written, only when something failed, so
-    fault-free grids keep byte-identical grid metrics.
-    """
-    from repro.obs import (
-        merge_coverage_snapshots,
-        merge_snapshots,
-        merge_triage_snapshots,
-    )
-    from repro.runtime.adapt import merge_adaptation_snapshots
-
-    troubled = stats["failed"] or stats["quarantined"] or stats["truncated"]
-    extra = [_supervisor_snapshot(stats)] if troubled else []
-    merges = [("coverage", merge_coverage_snapshots),
-              ("triage", merge_triage_snapshots),
-              ("adaptation", merge_adaptation_snapshots)]
-    if record_metrics:
-        merges.insert(0, ("metrics",
-                          lambda snaps: merge_snapshots(snaps + extra)))
-    for kind, merge in merges:
-        ordered = [snap for key in keys
-                   for snap in snapshots.get(key, {}).get(kind, ())]
-        if ordered:
-            log.emit(kind, scope="grid", cells=len(ordered),
-                     snapshot=merge(ordered))
-    if troubled:
-        log.emit("supervisor", **stats)
-
-
-def _supervisor_snapshot(stats: Dict[str, int]) -> Dict:
-    """Supervisor counters as a metrics snapshot for the grid merge."""
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    for name, key in (("failures", "failed"), ("retries", "retried"),
-                      ("timeouts", "timeouts"), ("crashes", "crashes"),
-                      ("quarantined", "quarantined"),
-                      ("truncated", "truncated")):
-        registry.counter(f"supervisor.{name}").inc(stats[key])
-    return registry.snapshot()

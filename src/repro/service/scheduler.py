@@ -47,7 +47,7 @@ runs under one robustness-first state machine:
 A scheduler given a journal *path* is a service: it recovers from the
 journal and brackets its run with ``service_start``/``service_stop``.  One
 given an open :class:`~repro.runtime.events.EventLog` runs inside a grid
-that owns the log (``grid_start``/``grid_end`` and the barriers).
+that owns the log (``grid_start``/``grid_end``).
 
 The scheduler core is synchronous (:meth:`tick`) so it can be driven
 deterministically from tests; :meth:`run_async` is the thin asyncio pump

@@ -18,6 +18,7 @@ from repro.core.reporting import campaign_to_dict, load_event_stream
 from repro.core.runner import GQSTester
 from repro.experiments.campaign import run_campaign_grid, run_tool_campaign
 from repro.gdb import EngineOptions, create_engine
+from repro.obs.view import RunView
 from repro.runtime import (
     ADAPTIVE_STRATEGIES,
     AdaptivePolicy,
@@ -278,9 +279,9 @@ class TestGridDeterminism:
         seq_adapt = [e for e in seq_events if e["event"] == "adaptation"]
         par_adapt = [e for e in par_events if e["event"] == "adaptation"]
         assert seq_adapt == par_adapt
-        grid_rollups = [e for e in seq_adapt if e.get("scope") == "grid"]
-        assert len(grid_rollups) == 1
-        assert grid_rollups[0]["snapshot"]["cells"] == 2
+        merged = RunView.of(seq_events).adaptation
+        assert merged == RunView.of(par_events).adaptation
+        assert merged["cells"] == 2
 
     def test_adaptive_grid_resumes_deterministically(self, tmp_path):
         reference, ref_events = self._grid(1, tmp_path, "full")
@@ -291,15 +292,14 @@ class TestGridDeterminism:
         )
         partial = tmp_path / "partial.jsonl"
         partial.write_text("\n".join(lines[: cut + 1]) + "\n")
+        # Resume into the cut log itself: it then holds the whole grid.
         resumed, resumed_events = self._grid(
-            1, tmp_path, "resumed", resume_path=partial
+            1, tmp_path, "partial", resume_path=partial
         )
         assert grid_fingerprint(resumed) == grid_fingerprint(reference)
-        ref_rollup = [e for e in ref_events
-                      if e["event"] == "adaptation" and e.get("scope") == "grid"]
-        res_rollup = [e for e in resumed_events
-                      if e["event"] == "adaptation" and e.get("scope") == "grid"]
-        assert ref_rollup == res_rollup
+        merged = RunView.of(resumed_events).adaptation
+        assert merged == RunView.of(ref_events).adaptation
+        assert merged["cells"] == 2
 
     def test_adaptation_changes_what_the_grid_finds(self, tmp_path):
         blind = run_campaign_grid(
@@ -332,7 +332,6 @@ class TestMergeAndRender:
 
     def test_stats_render_gains_adaptation_section(self):
         from repro.obs import render_stats
-        from repro.obs.view import RunView
 
         log = EventLog()
         engine = create_engine("falkordb",
@@ -347,7 +346,6 @@ class TestMergeAndRender:
 
     def test_blind_stats_render_has_no_adaptation_section(self):
         from repro.obs import render_stats
-        from repro.obs.view import RunView
 
         log = EventLog()
         CampaignKernel(events=log).run(

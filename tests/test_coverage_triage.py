@@ -4,8 +4,8 @@ Covers the three invariants the subsystem guarantees:
 
 * switching coverage/triage/recording on leaves campaign results
   byte-identical (no RNG draws, no control-flow changes);
-* grid-scope coverage/triage snapshots and the bundle set are identical
-  for ``jobs=1`` and ``jobs=2`` (deterministic barrier merges);
+* a grid log's coverage/triage merges and the bundle set are identical
+  for ``jobs=1`` and ``jobs=2`` (the fold merges cells in cell order);
 * every recorded bundle replays to exactly the recorded expected/actual
   outcomes (``repro replay``).
 """
@@ -36,6 +36,7 @@ from repro.obs import (
     replay_bundle,
     signature_for,
 )
+from repro.obs.view import RunView
 from repro.runtime.results import BugReport
 
 SMOKE = dict(budget_seconds=6.0, gate_scale=0.05)
@@ -222,13 +223,9 @@ class TestGridDeterminism:
             jobs=jobs, events_path=path, record_coverage=True,
             record_triage=True, bundle_dir=bundles, **SMOKE,
         )
-        events = load_event_stream(path)
-        grid = {
-            kind: [e["snapshot"] for e in events
-                   if e.get("event") == kind and e.get("scope") == "grid"]
-            for kind in ("coverage", "triage")
-        }
-        assert len(grid["coverage"]) == 1 and len(grid["triage"]) == 1
+        view = RunView.of(load_event_stream(path))
+        grid = {"coverage": view.coverage, "triage": view.triage}
+        assert None not in grid.values()
         return results, grid, sorted(p.name for p in bundles.glob("*.json"))
 
     def test_jobs_1_and_2_merge_identically(self, tmp_path):
@@ -326,13 +323,10 @@ class TestMixedEventResume:
         fp = lambda rs: {k: campaign_to_dict(v) for k, v in rs.items()}
         assert fp(resumed) == fp(first)
         events = load_event_stream(out)
-        # Nothing re-ran...
+        # Nothing re-ran, and a log holds only what ran in it.
         assert not [e for e in events if e["event"] == "campaign_start"]
-        # ...yet the grid rollups were rebuilt from the resumed snapshots.
-        assert [e for e in events
-                if e["event"] == "coverage" and e.get("scope") == "grid"]
-        assert [e for e in events
-                if e["event"] == "triage" and e.get("scope") == "grid"]
+        view = RunView.of(events)
+        assert view.coverage is None and view.triage is None
 
     def test_resume_tolerates_truncated_last_line(self, tmp_path):
         path, first = self.full_log(tmp_path)

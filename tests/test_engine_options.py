@@ -9,7 +9,7 @@ keywords are gone.
 import pytest
 
 from repro.gdb import EngineOptions, create_engine
-from repro.gdb.engines import EngineSpec, FalkorDBSim, ReferenceGDB
+from repro.gdb.engines import FalkorDBSim, ReferenceGDB
 from repro.graph import GraphGenerator
 
 
@@ -101,22 +101,26 @@ class TestEngineConstruction:
 
 
 class TestEngineSpecBridge:
+    """``GraphDatabase.spec()`` is the bundle's ``engine_spec`` recipe."""
+
     def test_round_trip_through_options(self):
         options = EngineOptions(
             faults_enabled=False, gate_scale=0.2, execution_mode="dual"
         )
-        spec = EngineSpec.from_options("memgraph", options)
-        assert spec.options() == options  # restart is not shipped
-        engine = spec.create()
+        engine = create_engine("memgraph", options)
         assert engine.name == "memgraph"
         assert engine.faults_enabled is False
         assert engine.gate_scale == 0.2
         assert engine.execution_mode == "dual"
+        spec = engine.spec()
+        name = spec.pop("name")
+        assert create_engine(name, EngineOptions(**spec)).spec() == {
+            "name": "memgraph", **spec}
 
     def test_pickled_field_layout_unchanged(self):
         # The spec rides inside flight-recorder bundles; its field set is
         # part of the bundle format and must not grow silently.
-        spec = EngineSpec("neo4j", gate_scale=0.3)
-        assert set(spec.__dataclass_fields__) - {"_"} == {
+        spec = create_engine("neo4j", EngineOptions(gate_scale=0.3)).spec()
+        assert set(spec) == {
             "name", "faults_enabled", "gate_scale", "execution_mode"
         }

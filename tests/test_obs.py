@@ -15,7 +15,7 @@ from repro.core.reporting import load_event_stream
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherRuntimeError
 from repro.experiments.campaign import run_campaign_grid, run_tool_campaign
-from repro.gdb import EngineOptions, EngineSpec, create_engine
+from repro.gdb import EngineOptions, create_engine
 from repro.gdb.engines import FalkorDBSim, GraphDatabase, Neo4jSim, Session
 from repro.graph.generator import GraphGenerator
 from repro.obs import (
@@ -97,8 +97,7 @@ class TestMetricsRegistry:
             merge_snapshots([a.snapshot(), b.snapshot()])
 
     def test_merge_is_order_independent(self):
-        """Element-wise sums commute — the property the parallel barrier
-        merge relies on to be worker-count independent."""
+        """Counters and buckets merge the same forwards and backwards."""
         regs = []
         for i in range(4):
             reg = MetricsRegistry()
@@ -194,11 +193,9 @@ class TestCampaignDeterminism:
                 budget_seconds=6.0, gate_scale=0.05, derive_seeds=True,
                 jobs=jobs, events_path=path, record_metrics=True,
             )
-            events = load_event_stream(path)
-            grid = [e for e in events
-                    if e.get("event") == "metrics" and e.get("scope") == "grid"]
-            assert len(grid) == 1
-            return deterministic_view(grid[0]["snapshot"])
+            metrics = RunView.of(load_event_stream(path)).metrics
+            assert metrics["counters"]
+            return deterministic_view(metrics)
 
         assert grid_snapshot(1) == grid_snapshot(2)
 
@@ -299,10 +296,12 @@ class TestKeywordOnlyAPI:
             engine.session(graph, schema, False)
 
     def test_engine_spec_is_keyword_only(self):
+        # Engine tuning travels as one EngineOptions, never a bare flag.
         with pytest.raises(TypeError):
-            EngineSpec("neo4j", False)
-        spec = EngineSpec("neo4j", faults_enabled=False, gate_scale=0.5)
-        assert spec.gate_scale == 0.5
+            create_engine("neo4j", False)
+        engine = create_engine(
+            "neo4j", EngineOptions(faults_enabled=False, gate_scale=0.5))
+        assert engine.spec()["gate_scale"] == 0.5
 
 
 class TestResultSetToTable:

@@ -21,7 +21,6 @@ from repro.cypher.parser import parse_query
 from repro.engine.binding import ResultSet
 from repro.engine.errors import CypherError, PlanDivergenceError
 from repro.gdb import EngineOptions, create_engine
-from repro.gdb.engines import EngineSpec
 from repro.graph import GraphGenerator
 from repro.graph.model import PropertyGraph
 
@@ -329,8 +328,8 @@ class TestModeThreading:
                           options=EngineOptions(execution_mode="vectorized"))
 
     def test_engine_spec_round_trips_mode(self):
-        spec = EngineSpec("kuzu", execution_mode="dual")
-        engine = spec.create()
+        engine = create_engine("kuzu",
+                               EngineOptions(execution_mode="dual"))
         assert engine.execution_mode == "dual"
         assert engine.spec()["execution_mode"] == "dual"
 

@@ -29,7 +29,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.reporting import load_event_stream
+from repro.experiments.campaign import run_campaign_grid
 from repro.obs import deterministic_view
+from repro.obs.export import bugs_json, stats_json
 from repro.obs.view import RunView
 from repro.runtime import CampaignCell, CellConfig, ParallelCampaignRunner
 from repro.service.scheduler import CampaignScheduler
@@ -279,17 +281,48 @@ def test_watch_exits_on_a_finished_resumed_grid(tmp_path):
     assert last["watch"]["status"] == "complete"
 
 
-def test_grid_barrier_counts_the_attempts_the_views_count():
+def test_old_grid_rollups_are_ignored_and_agree_with_the_fold():
+    # The fixtures were recorded when the grid runner also wrote grid-scope
+    # rollups of the per-cell snapshots.  The fold reads only the per-cell
+    # snapshots it counts, and merges them into what the rollups recorded.
     events = load_event_stream(RESUMED)
+    rollups = {event["event"]: event["snapshot"] for event in events
+               if event.get("scope") == "grid"}
+    assert set(rollups) == {"metrics", "coverage", "triage"}
     view = RunView.of(events)
-    rollups = {}
-    for event in events:
-        if event.get("scope") == "grid":
-            rollups[event["event"]] = event["snapshot"]
+    bare = RunView.of([event for event in events
+                       if event.get("scope") != "grid"])
+    assert view.metrics == bare.metrics
     assert deterministic_view(view.metrics) == deterministic_view(
         rollups["metrics"])
-    assert view.coverage == rollups["coverage"]
-    assert view.triage == rollups["triage"]
+    assert view.coverage == bare.coverage == rollups["coverage"]
+    assert view.triage == bare.triage == rollups["triage"]
+
+
+# -- grid merges do not depend on --jobs ----------------------------------------
+
+
+def test_grid_views_are_identical_for_jobs_1_and_2(tmp_path):
+    # Cells complete in a different order at jobs=2; float sums in the
+    # metrics merge depend on the order, so the fold merges in cell order.
+    def grid_view(jobs):
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        run_campaign_grid(
+            ("GQS", "GRev"), ("falkordb",), seeds=(0, 1, 2),
+            derive_seeds=True, budget_seconds=6.0, gate_scale=0.05,
+            adaptive="epsilon", record_metrics=True, record_coverage=True,
+            record_triage=True, jobs=jobs, events_path=path,
+        )
+        return RunView.of(load_event_stream(path))
+
+    one, two = grid_view(1), grid_view(2)
+    stats_one, stats_two = stats_json(one), stats_json(two)
+    for key in ("counters", "gauges", "histograms"):
+        assert stats_one[key] == stats_two[key]
+    assert stats_one["histograms"]
+    assert bugs_json(one) == bugs_json(two)
+    assert one.coverage == two.coverage is not None
+    assert one.adaptation == two.adaptation is not None
 
 
 # -- the rules, on hand-written logs -----------------------------------------
@@ -355,6 +388,25 @@ class TestRules:
         assert view.finished is finished
         assert view.status == ("complete" if finished else "running"
                                if kinds else "waiting for events")
+
+    def test_harness_errors_of_an_abandoned_attempt_do_not_count(
+            self, tmp_path, capsys):
+        abandoned = attempt(0, 5)
+        abandoned.insert(1, cell("harness_error", error="budget", query=3))
+        log = tmp_path / "resumed.jsonl"
+        log.write_text("".join(
+            json.dumps(event) + "\n"
+            for event in [*abandoned, *attempt(0, 5), checkpoint(0, 5)]
+        ))
+        assert RunView.of(abandoned).supervisor["harness_errors"] == 1
+        stats = json.loads(render(capsys, "stats", str(log),
+                                  "--format", "json"))
+        assert stats["supervisor"]["harness_errors"] == 0
+        assert supervisor_from_text(render(capsys, "stats", str(log))) \
+            == stats["supervisor"]
+        watch = supervisor_from_watch(render(capsys, "watch", str(log),
+                                             "--once"))
+        assert watch["harness_errors"] == 0
 
     def test_distinct_bugs_prefer_triage_then_fault_ids(self):
         faults = [cell("campaign_start"), cell("fault", fault_id="F2"),

@@ -229,16 +229,13 @@ class TestOperatorProfiler:
                 events_path=path, record_metrics=True,
                 execution_mode="compiled",
             )
-            events = load_event_stream(path)
-            grid_snaps = [e for e in events
-                          if e.get("event") == "metrics"
-                          and e.get("scope") == "grid"]
-            assert len(grid_snaps) == 1
+            metrics = RunView.of(load_event_stream(path)).metrics
+            assert metrics["counters"]
             dumped = {
                 key: json.dumps(campaign_to_dict(result), sort_keys=True)
                 for key, result in results.items()
             }
-            return dumped, deterministic_view(grid_snaps[0]["snapshot"])
+            return dumped, deterministic_view(metrics)
 
         assert grid(1) == grid(2)
 
