@@ -51,8 +51,8 @@ bundles or whole bundle directories.  None of these perturb the RNG streams
 — results are byte-identical with or without the flags.
 
 Grid robustness: every grid runs as one job on the campaign scheduler
-(:mod:`repro.service.scheduler`, in process, no HTTP).  ``--cell-timeout``
-is each cell attempt's lease length (a hung attempt is terminated),
+(:mod:`repro.service.scheduler`).  ``--cell-timeout`` is each cell
+attempt's lease length (a hung attempt is terminated),
 ``--cell-retries`` retries failed cells with deterministic backoff before
 quarantining them (the grid completes with explicit holes and exits 3),
 ``--resume LOG`` recovers checkpointed cells through the scheduler's
@@ -83,7 +83,7 @@ __all__ = ["main", "build_parser"]
 def _add_cell_arguments(parser: argparse.ArgumentParser,
                         minutes: float) -> None:
     """Per-cell campaign options (one :class:`repro.runtime.CellConfig`
-    field each), shared by campaign, compare and submit."""
+    field each), shared by campaign and compare."""
     parser.add_argument("--minutes", type=float, default=minutes,
                         help="simulated minutes of testing per cell")
     parser.add_argument("--gate-scale", type=float, default=1.0,
@@ -326,78 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_argument("--n", type=int, default=200)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the fault-tolerant campaign service (HTTP JSON API)",
-    )
-    serve.add_argument("journal",
-                       help="JSONL journal path; an existing journal is "
-                            "replayed so a restarted service resumes "
-                            "exactly where the dead one stopped")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8765,
-                       help="TCP port (0 picks an ephemeral port; the "
-                            "bound endpoint is printed on startup)")
-    serve.add_argument("--jobs", type=int, default=2,
-                       help="concurrent lease-worker processes")
-    serve.add_argument("--capacity", type=int, default=256,
-                       help="max outstanding (pending+leased) cells before "
-                            "admission answers 429 + Retry-After")
-    serve.add_argument("--lease-seconds", type=float, default=120.0,
-                       help="hard wall-clock deadline per cell lease")
-    serve.add_argument("--heartbeat-seconds", type=float, default=1.0,
-                       help="worker heartbeat interval")
-    serve.add_argument("--heartbeat-misses", type=int, default=3,
-                       help="consecutive silent intervals before the lease "
-                            "is revoked as missed_heartbeat")
-    serve.add_argument("--cell-retries", type=int, default=2,
-                       help="failed attempts per cell before quarantine "
-                            "(same seed, exponential backoff)")
-    serve.add_argument("--retry-backoff", type=float, default=None,
-                       metavar="SECONDS", help="base retry backoff")
-    serve.add_argument("--chaos", default=None, metavar="P[,SEED]",
-                       help="deterministically inject worker crashes/hangs/"
-                            "errors, heartbeat stalls and journal tail "
-                            "truncation (self-test; results unaffected)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a campaign grid job to a running service"
-    )
-    submit.add_argument("--url", default="http://127.0.0.1:8765",
-                        help="service endpoint (see `repro serve`)")
-    submit.add_argument("--tester", action="append", dest="testers",
-                        choices=["GQS", "GDsmith", "GDBMeter", "Gamera",
-                                 "GQT", "GRev"],
-                        help="repeatable; default GQS")
-    submit.add_argument("--engine", action="append", dest="engines",
-                        choices=["neo4j", "memgraph", "kuzu", "falkordb"],
-                        help="repeatable; default falkordb")
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--seeds", type=int, default=1,
-                        help="K seeds starting at --seed")
-    submit.add_argument("--spec", default=None, metavar="PATH",
-                        help="submit a raw JSON job spec instead of flags")
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job finishes; exits 3 when "
-                             "any cell was quarantined")
-    submit.add_argument("--timeout", type=float, default=600.0,
-                        help="--wait deadline in seconds")
-    _add_cell_arguments(submit, minutes=2.0)
-
-    jobs = sub.add_parser("jobs", help="list jobs on a running service")
-    jobs.add_argument("--url", default="http://127.0.0.1:8765")
-    jobs.add_argument("--job", default=None, metavar="ID",
-                      help="show one job with per-cell detail")
-    jobs.add_argument("--format", default="text", choices=["text", "json"])
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a job (or drain the whole service)"
-    )
-    cancel.add_argument("job", nargs="?", default=None, metavar="ID")
-    cancel.add_argument("--url", default="http://127.0.0.1:8765")
-    cancel.add_argument("--drain", action="store_true",
-                        help="graceful drain: stop admissions and leasing, "
-                             "finish in-flight cells, then exit")
     return parser
 
 
@@ -960,157 +888,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service.server import serve
-
-    if args.chaos:
-        from repro.runtime import ChaosConfig
-
-        try:
-            ChaosConfig.parse(args.chaos)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    return serve(
-        args.journal,
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        capacity=args.capacity,
-        lease_seconds=args.lease_seconds,
-        heartbeat_seconds=args.heartbeat_seconds,
-        heartbeat_misses=args.heartbeat_misses,
-        cell_retries=args.cell_retries,
-        retry_backoff=args.retry_backoff,
-        chaos=args.chaos,
-    )
-
-
-def _service_client(url):
-    from repro.service.client import ServiceClient
-
-    return ServiceClient(url)
-
-
-def _cmd_submit(args) -> int:
-    from repro.service.client import ServiceError
-
-    if args.spec:
-        import json
-        from pathlib import Path
-
-        try:
-            spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read spec {args.spec}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        config = _cell_config(args)
-        if config is None:
-            return 2
-        spec = {
-            "testers": args.testers or ["GQS"],
-            "engines": args.engines or ["falkordb"],
-            "seeds": list(range(args.seed, args.seed + max(1, args.seeds))),
-            "derive_seeds": args.seeds > 1,
-            **config.to_dict(),
-        }
-    client = _service_client(args.url)
-    try:
-        record = client.submit(spec)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        # 429/503 are availability refusals (exit 4), not usage errors.
-        return 4 if exc.status in (429, 503) else 2
-    except OSError as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
-        return 4
-    counts = record["counts"]
-    print(f"{record['job']} accepted: "
-          f"{sum(counts.values())} cell(s) ({counts['done']} already done)")
-    if not args.wait:
-        return 0
-    try:
-        record = client.wait(record["job"], timeout=args.timeout)
-    except (ServiceError, OSError, TimeoutError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
-    counts = record["counts"]
-    print(f"{record['job']} {record['status']}: {counts['done']} done, "
-          f"{counts['quarantined']} quarantined, "
-          f"{counts['cancelled']} cancelled")
-    return 3 if counts["quarantined"] else 0
-
-
-def _cmd_jobs(args) -> int:
-    import json
-
-    from repro.service.client import ServiceError
-
-    client = _service_client(args.url)
-    try:
-        if args.job:
-            payload = client.job(args.job)
-        else:
-            payload = {"jobs": client.jobs()}
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
-        return 4
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if args.job:
-        counts = payload["counts"]
-        print(f"{payload['job']}: {payload['status']} "
-              f"({counts['done']}/{len(payload['cells'])} done, "
-              f"{counts['quarantined']} quarantined)")
-        for cell in payload["cells"]:
-            label = f"{cell['tester']}/{cell['engine']}/{cell['seed']}"
-            print(f"  {label:<28s} {cell['status']:<14s} "
-                  f"queries {cell['queries']:>6d}  "
-                  f"attempts {cell['attempts']}")
-        return 0
-    if not payload["jobs"]:
-        print("no jobs")
-        return 0
-    for record in payload["jobs"]:
-        counts = record["counts"]
-        total = sum(counts.values())
-        print(f"{record['job']:<10s} {record['status']:<10s} "
-              f"{counts['done']}/{total} done, "
-              f"{counts['pending']} pending, {counts['leased']} leased, "
-              f"{counts['quarantined']} quarantined")
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    from repro.service.client import ServiceError
-
-    if not args.drain and not args.job:
-        print("cancel: give a job ID or --drain", file=sys.stderr)
-        return 2
-    client = _service_client(args.url)
-    try:
-        if args.drain:
-            client.drain()
-            print("service draining")
-            return 0
-        record = client.cancel(args.job)
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot reach service at {args.url}: {exc}", file=sys.stderr)
-        return 4
-    counts = record["counts"]
-    print(f"{record['job']} cancelled: {counts['cancelled']} cell(s) "
-          f"dropped, {counts['done']} completed result(s) kept")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1129,10 +906,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "synthesize": _cmd_synthesize,
         "calibrate": _cmd_calibrate,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
-        "cancel": _cmd_cancel,
     }
     from repro.service.scheduler import JournalError
 

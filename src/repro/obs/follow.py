@@ -13,8 +13,8 @@ bytes.
   half-parsed.  A *terminated* line that fails to decode (a torn record
   from a crash or chaos truncation) is accounted as torn — the same
   tolerance contract as :func:`repro.core.reporting.load_event_stream`.
-* **Wire-protocol read side.**  The campaign service journals this very
-  JSONL format; the follower is its client-side decoder.
+* **Journal read side.**  The campaign scheduler journals this very
+  JSONL format; the follower decodes it while it grows.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _service_line(service: Optional[Dict[str, int]]) -> Optional[str]:
     if service is None:
         return None
     parts = [f"leases {service['leases']}"]
-    for key in ("revoked", "heartbeats", "jobs", "cancelled", "restarts"):
+    for key in ("revoked", "heartbeats", "jobs", "restarts"):
         if service[key]:
             parts.append(
                 f"jobs {service['jobs_complete']}/{service['jobs']} complete"

@@ -65,15 +65,6 @@ def _label(key: Iterable[Any]) -> str:
     return "/".join(str(part) for part in key)
 
 
-def _payload(event: Event) -> Dict[str, Any]:
-    """A snapshot event's snapshot; adaptation ones carry their cell."""
-    if event["event"] != "adaptation":
-        return event["snapshot"]
-    tester, engine, seed = _key(event)
-    return dict(event.get("snapshot") or {}, tester=tester, engine=engine,
-                seed=seed)
-
-
 class RunView:
     """Everything the views show about one event log, folded once."""
 
@@ -306,7 +297,7 @@ class RunView:
         if kind not in self._merged:
             events = self.snapshots(kind)
             self._merged[kind] = (
-                merge([_payload(event) for event in events])
+                merge([event.get("snapshot") or {} for event in events])
                 if events else None
             )
         return self._merged[kind]
@@ -365,7 +356,6 @@ class RunView:
             "heartbeats": count("heartbeat", 0),
             "jobs": count("job_submitted", 0),
             "jobs_complete": count("job_complete", 0),
-            "cancelled": count("job_cancelled", 0),
             "restarts": count("service_start") - 1,
         }
 

@@ -500,12 +500,8 @@ def merge_adaptation_snapshots(
 ) -> Dict[str, Any]:
     """Fold per-cell adaptation snapshots into one grid-level summary.
 
-    Cells are folded in sorted (tester, engine, seed) order so the merge is
-    byte-identical regardless of completion order — same contract as the
-    coverage and triage merges.  Per-cell snapshots carry their cell
-    identity under ``tester``/``engine``/``seed`` (the kernel's
-    ``adaptation`` event envelope, re-attached by
-    :class:`repro.obs.view.RunView`).
+    The merge only sums integers and unions strategy names, so it is the
+    same for any snapshot order.
     """
     merged: Dict[str, Any] = {
         "arms": {},
@@ -516,15 +512,7 @@ def merge_adaptation_snapshots(
         "strategies": [],
     }
     strategies = set()
-
-    def cell_key(snap: Dict[str, Any]) -> Tuple[str, str, int]:
-        return (
-            str(snap.get("tester", "")),
-            str(snap.get("engine", "")),
-            int(snap.get("seed", 0)),
-        )
-
-    for snap in sorted(snapshots, key=cell_key):
+    for snap in snapshots:
         merged["cells"] += 1
         merged["novel"] += int(snap.get("novel", 0))
         merged["observed"] += int(snap.get("observed", 0))

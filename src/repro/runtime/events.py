@@ -117,8 +117,8 @@ class EventLog:
     def sync(self) -> None:
         """Durability barrier: flush and ``fsync`` the backing file.
 
-        The campaign service calls this at cell-completion boundaries so a
-        ``kill -9`` of the scheduler can never lose a checkpointed result —
+        The campaign scheduler calls this at cell-completion boundaries so
+        a ``kill -9`` of the scheduler can never lose a checkpointed result —
         anything acknowledged before :meth:`sync` returned survives the
         crash; at most the torn tail of a later, unsynced line is lost (and
         skipped by :func:`repro.core.reporting.load_event_stream`).

@@ -4,8 +4,7 @@ The paper's evaluation grid (6 testers × 4 engines × seeds; Table 6,
 Figure 18) is embarrassingly parallel: every cell is an independent
 campaign with its own engine instance and its own deterministic RNG.
 :class:`ParallelCampaignRunner` runs a grid as one job on an in-process
-:class:`repro.service.scheduler.CampaignScheduler` — the same scheduler
-the campaign service runs, without HTTP:
+:class:`repro.service.scheduler.CampaignScheduler`:
 
 * **Determinism** — each cell's seed is fixed *in the cell spec*, before
   any work is scheduled, and results are merged back keyed by cell in grid
@@ -99,7 +98,7 @@ class CellConfig:
     """Every option one campaign cell runs with, beyond its grid key.
 
     The same value travels from the CLI, the keyword entry points of
-    :mod:`repro.experiments.campaign` and service job specs to the worker
+    :mod:`repro.experiments.campaign` and scheduler job specs to the worker
     (:func:`_run_cell`), so a new cell option is declared here once.
     Keyword construction trusts its caller; :meth:`from_dict` is the
     validator for everything that arrives from outside the program.
@@ -195,8 +194,8 @@ class CampaignCell:
         """The primitives-only spec :func:`_run_cell` runs this cell from.
 
         The local outputs (*record_queries*, *bundle_dir*,
-        *reduce_bundles*) are the runner's, never the config's: a service
-        client must not choose paths on the server.
+        *reduce_bundles*) are the runner's, never the config's: a journaled
+        job spec carries no local paths.
         """
         return {
             "tester": self.tester,
@@ -309,8 +308,7 @@ class ParallelCampaignRunner:
             first = len(log)
             if pending:
                 scheduler = CampaignScheduler(
-                    log, jobs=min(self.jobs, len(pending)),
-                    capacity=len(pending), **self.scheduling,
+                    log, jobs=min(self.jobs, len(pending)), **self.scheduling,
                 )
                 try:
                     scheduler.submit([self._spec(cell) for cell in pending])

@@ -5,7 +5,7 @@ their own harness: a pathological synthesized query that trips the
 recursion limit, a worker process that dies, or a cell that hangs must
 cost one cell *attempt*, not the grid.  Scheduling those attempts —
 leases, retries with backoff, quarantine, checkpoints — is the job of the
-one scheduler every grid and the campaign service run on
+one scheduler every grid runs on
 (:class:`repro.service.scheduler.CampaignScheduler`).  This module holds
 what an attempt itself needs, wherever it runs:
 

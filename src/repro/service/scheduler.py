@@ -1,10 +1,9 @@
 """The campaign scheduler: leases, heartbeats, retries, recovery.
 
-Every campaign grid runs on this scheduler: the campaign service (`repro
-serve`) and, in process with no HTTP, ``campaign``/``compare`` and every
-other :class:`repro.runtime.ParallelCampaignRunner` grid.  Jobs (grid
-specs or cell lists) are decomposed into cells, and each cell attempt
-runs under one robustness-first state machine:
+Every campaign grid runs on this scheduler: ``campaign``/``compare``, the
+paper tables and every other :class:`repro.runtime.ParallelCampaignRunner`
+grid.  Jobs (grid specs or cell lists) are decomposed into cells, and each
+cell attempt runs under one robustness-first state machine:
 
 * **Attempts** — an attempt runs either *in process* (``jobs == 1``, no
   lease length, no chaos: the determinism reference, no worker process)
@@ -19,7 +18,7 @@ runs under one robustness-first state machine:
   cost time, never correctness.  Without a lease length there is no
   deadline of any kind.
 * **Heartbeats** — a bounded lease's worker reports a heartbeat every
-  ``heartbeat_seconds``; ``heartbeat_misses`` consecutive silent
+  :data:`HEARTBEAT_SECONDS`; :data:`HEARTBEAT_MISSES` consecutive silent
   intervals revoke the lease early.  This separates "slow but alive"
   (the lease keeps running to its deadline) from "dead or wedged"
   (detected in a few heartbeats, not a full lease).
@@ -29,12 +28,9 @@ runs under one robustness-first state machine:
   2**(n-1)``, a ``cell_retry`` event) and is quarantined after
   ``cell_retries`` failed retries (``cell_quarantined``: the grid
   completes with an explicit hole).
-* **Admission control** — ``capacity`` bounds outstanding (pending +
-  leased) cells; a submission that would exceed it raises
-  :class:`Backpressure` (HTTP 429 + ``Retry-After`` at the API layer).
-* **Graceful drain** — :meth:`drain` stops granting leases; in-flight
-  cells finish (or time out against their lease), checkpoints are flushed,
-  and the run loop exits cleanly — SIGTERM/SIGINT land here.
+* **Drain** — :meth:`drain` stops granting leases; in-flight cells
+  finish (or time out against their lease), checkpoints are flushed, and
+  the next tick stops the scheduler cleanly.
 * **Crash-consistent journal** — every transition is appended to the
   JSONL journal, ``fsync``'d at cell-completion and job boundaries, and
   the records recovery trusts (:data:`SEALED_EVENT_KINDS`) carry a
@@ -44,20 +40,18 @@ runs under one robustness-first state machine:
   finished grid is byte-identical to an uninterrupted run.  A grid's
   ``--resume LOG`` folds its log through the same replay.
 
-A scheduler given a journal *path* is a service: it recovers from the
-journal and brackets its run with ``service_start``/``service_stop``.  One
-given an open :class:`~repro.runtime.events.EventLog` runs inside a grid
-that owns the log (``grid_start``/``grid_end``).
+A scheduler given a journal *path* owns its journal: it recovers from it
+and brackets its run with ``service_start``/``service_stop``.  One given an
+open :class:`~repro.runtime.events.EventLog` runs inside a grid that owns
+the log (``grid_start``/``grid_end``).
 
-The scheduler core is synchronous (:meth:`tick`) so it can be driven
-deterministically from tests; :meth:`run_async` is the thin asyncio pump
-the HTTP server rides on.
+The scheduler is synchronous (:meth:`tick`, pumped by :meth:`run_until`),
+so tests drive it deterministically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -76,10 +70,8 @@ from repro.service.spec import JobSpec
 from repro.service.worker import lease_worker_main
 
 __all__ = [
-    "Backpressure",
     "CampaignScheduler",
     "JournalError",
-    "ServiceDraining",
     "replay_service_journal",
 ]
 
@@ -87,29 +79,18 @@ CellKey = Tuple[str, str, int]
 
 #: Journal records recovery acts on; each carries a ``digest`` of its own
 #: content, so a corrupted record is refused instead of trusted.
-SEALED_EVENT_KINDS = ("job_submitted", "job_cancelled", "cell_complete",
-                      "cell_quarantined")
+SEALED_EVENT_KINDS = ("job_submitted", "cell_complete", "cell_quarantined")
 
 #: The ``cell_failed`` kind of each lease revocation reason.
 _REVOCATION_KINDS = {"worker_exit": "crash", "lease_expired": "timeout",
                      "missed_heartbeat": "timeout"}
 
-
-class Backpressure(RuntimeError):
-    """Admission refused: outstanding cells would exceed capacity."""
-
-    def __init__(self, outstanding: int, capacity: int, retry_after: int):
-        super().__init__(
-            f"service at capacity: {outstanding} outstanding cell(s) "
-            f"of {capacity}; retry in {retry_after}s"
-        )
-        self.outstanding = outstanding
-        self.capacity = capacity
-        self.retry_after = retry_after
-
-
-class ServiceDraining(RuntimeError):
-    """Admission refused: the service is draining for shutdown."""
+#: Seconds between a bounded lease worker's heartbeats.
+HEARTBEAT_SECONDS = 1.0
+#: Consecutive silent heartbeat intervals that revoke a bounded lease.
+HEARTBEAT_MISSES = 3
+#: Longest sleep of :meth:`CampaignScheduler.run_until` between ticks.
+POLL_INTERVAL = 0.05
 
 
 class JournalError(ValueError):
@@ -127,10 +108,8 @@ class _Cell:
     job: str
     key: CellKey
     spec: Dict[str, Any]  # primitives-only worker spec
-    status: str = "pending"  # pending|leased|done|quarantined|cancelled
+    status: str = "pending"  # pending|leased|done|quarantined
     failures: int = 0  # consumed failed attempts
-    attempts: int = 0  # attempts recorded at completion/quarantine
-    queries: int = 0  # summary of the completed campaign
     not_before: float = 0.0  # monotonic backoff gate
 
 
@@ -148,7 +127,7 @@ class _Lease:
 class _Job:
     id: str
     cells: List[_Cell] = field(default_factory=list)
-    status: str = "running"  # running|complete|cancelled
+    status: str = "running"  # running|complete
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +161,8 @@ def replay_service_journal(
       a grid's ``--resume`` reads;
     * ``cell_quarantined`` marks a quarantine hole;
     * ``cell_failed`` / ``lease_revoked`` count consumed attempts (the
-      highest failed attempt number), so a restarted service continues the
-      retry/backoff budget instead of resetting it;
-    * ``job_cancelled`` drops the job's unfinished cells.
+      highest failed attempt number), so a restarted scheduler continues the
+      retry/backoff budget instead of resetting it.
 
     Leases open at crash time appear as ``lease`` events with no matching
     completion or revocation — their workers died with the scheduler, so
@@ -209,7 +187,6 @@ def replay_service_journal(
             jobs[job_id] = {
                 "index": index,
                 "spec": event.get("spec"),
-                "cancelled": False,
                 "done": {},
                 "quarantined": {},
                 "failures": {},
@@ -229,22 +206,14 @@ def replay_service_journal(
                     f"{kind} names job {job_id!r}, which the journal "
                     "never submitted")
         if kind == "cell_complete":
-            record["done"][key] = {
-                "attempts": event.get("attempts", 1),
-                "queries": (event.get("campaign") or {}).get(
-                    "queries_run", 0
-                ),
-            }
+            record["done"][key] = {"attempts": event.get("attempts", 1)}
             record["quarantined"].pop(key, None)
         elif kind == "cell_quarantined":
             record["quarantined"][key] = event.get("attempts", 0)
         elif kind in ("cell_failed", "lease_revoked"):
-            if event.get("reason") != "cancelled":
-                record["failures"][key] = max(
-                    record["failures"].get(key, 0), event.get("attempt", 1)
-                )
-        elif kind == "job_cancelled":
-            record["cancelled"] = True
+            record["failures"][key] = max(
+                record["failures"].get(key, 0), event.get("attempt", 1)
+            )
     return {"order": order, "jobs": jobs, "cells": cells}
 
 
@@ -270,17 +239,12 @@ class CampaignScheduler:
         journal: Union[str, Path, EventLog],
         *,
         jobs: int = 2,
-        capacity: int = 256,
         lease_seconds: Optional[float] = 120.0,
-        heartbeat_seconds: float = 1.0,
-        heartbeat_misses: int = 3,
         cell_retries: int = 2,
         retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         chaos: Optional[Union[ChaosConfig, str]] = None,
-        poll_interval: float = 0.05,
     ):
         self.jobs_limit = max(1, int(jobs))
-        self.capacity = max(1, int(capacity))
         if chaos is not None and not isinstance(chaos, ChaosConfig):
             chaos = ChaosConfig.parse(chaos)
         self.chaos = chaos
@@ -290,11 +254,8 @@ class CampaignScheduler:
             lease_seconds = DEFAULT_CHAOS_TIMEOUT
         self.lease_seconds = (None if lease_seconds is None
                               else float(lease_seconds))
-        self.heartbeat_seconds = max(0.01, float(heartbeat_seconds))
-        self.heartbeat_misses = max(1, int(heartbeat_misses))
         self.cell_retries = max(0, int(cell_retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
-        self.poll_interval = max(0.005, float(poll_interval))
         #: Attempts run in this process: the determinism reference.
         self.in_process = self.jobs_limit == 1 and self.lease_seconds is None
         self.draining = False
@@ -318,10 +279,9 @@ class CampaignScheduler:
         self._log.emit(
             "service_start",
             jobs=self.jobs_limit,
-            capacity=self.capacity,
             lease_seconds=self.lease_seconds,
-            heartbeat_seconds=self.heartbeat_seconds,
-            heartbeat_misses=self.heartbeat_misses,
+            heartbeat_seconds=HEARTBEAT_SECONDS,
+            heartbeat_misses=HEARTBEAT_MISSES,
             cell_retries=self.cell_retries,
             recovered_jobs=recovered["jobs"],
             resumed_cells=recovered["resumed"],
@@ -354,62 +314,38 @@ class CampaignScheduler:
                         f"job {job_id} has an invalid spec ({exc})")
             job = self._admit(job_id, specs)
             for cell in job.cells:
-                done = record["done"].get(cell.key)
-                if done is not None:
+                if cell.key in record["done"]:
                     cell.status = "done"
-                    cell.attempts = done["attempts"]
-                    cell.queries = done["queries"]
                     resumed += 1
-                elif record["cancelled"]:
-                    cell.status = "cancelled"
                 elif cell.key in record["quarantined"]:
                     cell.status = "quarantined"
-                    cell.attempts = record["quarantined"][cell.key]
                 else:
                     cell.failures = record["failures"].get(cell.key, 0)
             self._pending.extend(c for c in job.cells
                                  if c.status == "pending")
-            if record["cancelled"]:
-                job.status = "cancelled"
-            elif all(c.status in ("done", "quarantined")
-                     for c in job.cells):
+            if all(c.status in ("done", "quarantined") for c in job.cells):
                 job.status = "complete"
         return {"jobs": len(self._order), "resumed": resumed}
 
     # -- admission --------------------------------------------------------
 
-    @property
-    def outstanding(self) -> int:
-        """Cells admitted but not yet terminal (pending + leased)."""
-        return len(self._pending) + len(self._leases)
-
     def submit(
         self, spec: Union[JobSpec, Dict[str, Any], List[Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        """Admit one job; returns its record.  Raises on refusal.
+        """Admit one job; returns its record.
 
-        *spec* is a :class:`JobSpec`, its wire dict, or a grid's list of
-        ``_run_cell`` worker specs (:meth:`CampaignCell.worker_spec`).
-
-        :class:`ValueError` — malformed spec (HTTP 400);
-        :class:`ServiceDraining` — shutting down (HTTP 503);
-        :class:`Backpressure` — over capacity (HTTP 429 + Retry-After).
-        The job is acknowledged only after its ``job_submitted`` journal
-        line is fsync'd, so an accepted job survives any later crash.
+        *spec* is a :class:`JobSpec`, its journal dict, or a grid's list of
+        ``_run_cell`` worker specs (:meth:`CampaignCell.worker_spec`).  A
+        malformed spec raises :class:`ValueError`.  The job is returned
+        only after its ``job_submitted`` journal line is fsync'd, so an
+        accepted job survives any later crash.
         """
-        if self.draining:
-            raise ServiceDraining("service is draining; not accepting jobs")
         if isinstance(spec, list):
             specs, wire = spec, None
         else:
             if not isinstance(spec, JobSpec):
                 spec = JobSpec.from_dict(spec)
             specs, wire = spec.worker_specs(), spec.to_dict()
-        outstanding = self.outstanding
-        if outstanding + len(specs) > self.capacity:
-            raise Backpressure(
-                outstanding, self.capacity, self._retry_after(len(specs))
-            )
         job = self._admit(f"job-{self._serial:04d}", specs)
         self._serial += 1
         self._pending.extend(job.cells)
@@ -429,61 +365,20 @@ class CampaignScheduler:
         self._order.append(job_id)
         return job
 
-    def _retry_after(self, requested: int) -> int:
-        """A deterministic Retry-After hint, scaled to the backlog.
-
-        Rough model: the backlog drains one lease per worker slot per
-        lease period in the worst case; clamp to something a polite client
-        can actually sleep.
-        """
-        backlog = self.outstanding + requested - self.capacity
-        period = max(1.0, min(self.lease_seconds or 30.0, 30.0))
-        return max(1, min(120, math.ceil(
-            backlog * period / self.jobs_limit
-        )))
-
     # -- introspection ----------------------------------------------------
 
     def job_record(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """A job's id, status and cell counts by status (None if unknown)."""
         job = self._jobs.get(job_id)
         if job is None:
             return None
-        counts = {"pending": 0, "leased": 0, "done": 0,
-                  "quarantined": 0, "cancelled": 0}
-        cells = []
+        counts = {"pending": 0, "leased": 0, "done": 0, "quarantined": 0}
         for cell in job.cells:
             counts[cell.status] += 1
-            tester, engine, seed = cell.key
-            cells.append({
-                "tester": tester, "engine": engine, "seed": seed,
-                "status": cell.status,
-                "attempts": cell.attempts or cell.failures,
-                "queries": cell.queries,
-            })
         return {
             "job": job.id,
             "status": job.status,
-            "cells": cells,
             "counts": counts,
-        }
-
-    def jobs_overview(self) -> List[Dict[str, Any]]:
-        overview = []
-        for job_id in self._order:
-            record = self.job_record(job_id)
-            record.pop("cells")
-            overview.append(record)
-        return overview
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "jobs": len(self._jobs),
-            "pending": len(self._pending),
-            "leased": len(self._leases),
-            "outstanding": self.outstanding,
-            "capacity": self.capacity,
-            "workers": self.jobs_limit,
-            "draining": self.draining,
         }
 
     @property
@@ -496,37 +391,7 @@ class CampaignScheduler:
         """Draining and every in-flight lease has landed — time to exit."""
         return self.draining and not self._leases
 
-    # -- cancellation and drain -------------------------------------------
-
-    def cancel(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """Cancel a job: drop its queue, revoke its leases, keep results."""
-        job = self._jobs.get(job_id)
-        if job is None:
-            return None
-        if job.status == "running":
-            dropped = revoked = 0
-            for cell in job.cells:
-                if cell.status == "pending":
-                    cell.status = "cancelled"
-                    dropped += 1
-            self._pending = [c for c in self._pending if c.job != job_id]
-            for lease in list(self._leases):
-                if lease.cell.job != job_id:
-                    continue
-                self._terminate(lease)
-                self._leases.remove(lease)
-                lease.cell.status = "cancelled"
-                revoked += 1
-                self._emit_cell(
-                    "lease_revoked", lease.cell,
-                    attempt=lease.attempt, reason="cancelled",
-                    will_retry=False, backoff=0.0,
-                )
-            job.status = "cancelled"
-            self._emit("job_cancelled", job=job_id,
-                       dropped=dropped, revoked=revoked)
-            self._log.sync()
-        return self.job_record(job_id)
+    # -- drain ------------------------------------------------------------
 
     def drain(self, reason: str = "drain") -> None:
         """Stop leasing; let in-flight cells finish or time out, then stop."""
@@ -587,9 +452,7 @@ class CampaignScheduler:
                 return False
             grace = 0.0
             if message.get("type") == "heartbeat":
-                lease.beat_deadline = now + (
-                    self.heartbeat_seconds * self.heartbeat_misses
-                )
+                lease.beat_deadline = now + HEARTBEAT_SECONDS * HEARTBEAT_MISSES
                 self._emit_cell("heartbeat", lease.cell,
                                 attempt=lease.attempt)
                 continue
@@ -608,8 +471,8 @@ class CampaignScheduler:
             error = (f"cell exceeded the {self.lease_seconds:g}s watchdog "
                      "timeout; worker terminated")
         else:
-            error = (f"no heartbeat for {self.heartbeat_misses} x "
-                     f"{self.heartbeat_seconds:g}s; worker terminated")
+            error = (f"no heartbeat for {HEARTBEAT_MISSES} x "
+                     f"{HEARTBEAT_SECONDS:g}s; worker terminated")
         self._fail(lease.cell, now, _REVOCATION_KINDS[reason], error,
                    revoked=reason)
 
@@ -617,15 +480,13 @@ class CampaignScheduler:
                 now: float) -> None:
         """An attempt reported a result (success or sandboxed failure)."""
         if cell.status != "leased":
-            return  # Late duplicate after cancel/revoke: drop it.
+            return  # Late duplicate after a revocation: drop it.
         if payload.get("status") != "ok":
             self._fail(cell, now, "exception", payload.get("error", "?"),
                        payload.get("traceback_tail", ""))
             return
         cell.status = "done"
-        cell.attempts = attempt
         campaign = payload["campaign"]
-        cell.queries = campaign.get("queries_run", 0)
         self._log.extend(payload.get("events") or [])
         self._emit_cell("cell_complete", cell, attempts=attempt,
                         campaign=campaign)
@@ -658,7 +519,6 @@ class CampaignScheduler:
                             backoff=backoff)
         else:
             cell.status = "quarantined"
-            cell.attempts = attempt
             self._emit_cell("cell_quarantined", cell, attempts=attempt)
             self._log.sync()
 
@@ -681,9 +541,9 @@ class CampaignScheduler:
                 })
                 self._settle(cell, attempt, payload, time.monotonic())
                 return
-            self._leases.append(self._lease(cell, now))
+            self._leases.append(self._lease(cell))
 
-    def _lease(self, cell: _Cell, now: float) -> _Lease:
+    def _lease(self, cell: _Cell) -> _Lease:
         attempt = cell.failures + 1
         bounded = self.lease_seconds is not None
         task: Dict[str, Any] = {
@@ -691,7 +551,7 @@ class CampaignScheduler:
             "spec": cell.spec,
             "attempt": attempt,
             # Heartbeats matter only against a deadline.
-            "heartbeat_seconds": self.heartbeat_seconds if bounded else None,
+            "heartbeat_seconds": HEARTBEAT_SECONDS if bounded else None,
         }
         if self.chaos is not None:
             directive = self.chaos.directive(cell.key, attempt)
@@ -701,23 +561,30 @@ class CampaignScheduler:
             if self.chaos.heartbeat_stall(cell.key, attempt):
                 task["stall_heartbeats"] = True
         parent_conn, child_conn = self._context.Pipe(duplex=False)
+        # The worker closes the read ends it inherits, its own included:
+        # once this process dies, a worker's send fails instead of
+        # blocking forever on a full pipe nobody reads.
+        read_ends = [parent_conn] + [lease.conn for lease in self._leases]
         proc = self._context.Process(
-            target=lease_worker_main, args=(child_conn, task), daemon=True
+            target=lease_worker_main, args=(child_conn, task, read_ends),
+            daemon=True,
         )
         proc.start()
         child_conn.close()
+        # Deadlines run from the fork, not from the tick that granted it.
+        started = time.monotonic()
         cell.status = "leased"
         self._emit_cell(
             "lease", cell, attempt=attempt, pid=proc.pid,
             lease_seconds=self.lease_seconds,
         )
-        grace = self.heartbeat_seconds * self.heartbeat_misses
+        # The worker beats once on start; its first beat gets one extra
+        # interval for process start-up.
+        grace = HEARTBEAT_SECONDS * (HEARTBEAT_MISSES + 1)
         return _Lease(
             cell=cell, proc=proc, conn=parent_conn, attempt=attempt,
-            expires=now + self.lease_seconds if bounded else None,
-            # First-beat grace includes process start-up.
-            beat_deadline=(now + grace + self.heartbeat_seconds
-                           if bounded else None),
+            expires=started + self.lease_seconds if bounded else None,
+            beat_deadline=started + grace if bounded else None,
         )
 
     def _complete_jobs(self) -> None:
@@ -785,7 +652,7 @@ class CampaignScheduler:
         """Release every resource without journaling a clean stop.
 
         Reaps in-flight lease workers (an interrupted grid must not leak
-        them) and closes a service's journal.  Tests use it to simulate an
+        them) and closes a journal it owns.  Tests use it to simulate an
         abrupt scheduler death: ``kill -9`` never runs this either — but
         leaked worker processes would outlive the test.
         """
@@ -829,23 +696,9 @@ class CampaignScheduler:
 
             wait([lease.conn for lease in self._leases]
                  + [lease.proc.sentinel for lease in self._leases],
-                 self.poll_interval)
+                 POLL_INTERVAL)
             return
         now = time.monotonic()
         gates = [cell.not_before - now for cell in self._pending]
         if not gates or min(gates) > 0:
-            time.sleep(min([self.poll_interval] + gates))
-
-    async def run_async(self) -> None:
-        """The asyncio pump: tick until drained, then stop cleanly."""
-        import asyncio
-
-        try:
-            while not self._stopped:
-                self.tick()
-                if self._stopped:
-                    break
-                await asyncio.sleep(self.poll_interval)
-        finally:
-            if not self._stopped:
-                self.close()
+            time.sleep(min([POLL_INTERVAL] + gates))

@@ -1,20 +1,21 @@
-"""Campaign job specs: the unit of admission for the campaign service.
+"""Campaign job specs: the unit of admission for the campaign scheduler.
 
-A client submits one :class:`JobSpec` — a (testers × engines × seeds)
+A caller submits one :class:`JobSpec` — a (testers × engines × seeds)
 grid description plus one :class:`repro.runtime.CellConfig` of campaign
 options — and the scheduler decomposes it into
 :class:`repro.runtime.CampaignCell`\\ s through the exact same
 :func:`repro.experiments.campaign.campaign_grid_cells` path the inline
 runner uses.  That sharing is the crash-recovery byte-identity contract in
 miniature: a job re-derived from its journaled spec produces the *same*
-cells with the *same* SHA-256 seeds, so a restarted service re-runs
+cells with the *same* SHA-256 seeds, so a restarted scheduler re-runs
 exactly the work the dead one had left.
 
-Specs are flat JSON dicts on the wire: the grid keys beside the
+Specs are flat JSON dicts in the journal: the grid keys beside the
 :class:`~repro.runtime.CellConfig` fields.  :meth:`JobSpec.from_dict`
 validates the grid keys and hands the rest to
 :meth:`CellConfig.from_dict`; both raise :class:`ValueError`, so a
-malformed submission is a 400 at admission, never a worker crash later.
+malformed submission is refused at admission, never a worker crash
+later.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class JobSpec:
 
     Constructed either with a *config* or with the flat
     :class:`~repro.runtime.CellConfig` keyword names (``budget_seconds``
-    defaulting to 30 s), exactly as the wire dict spells them.
+    defaulting to 30 s), exactly as the journal dict spells them.
     """
 
     testers: Tuple[str, ...]
@@ -85,7 +86,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        """Validate and build a spec from a wire/journal dict."""
+        """Validate and build a spec from a journal dict."""
         from repro.experiments.campaign import TESTER_NAMES
         from repro.gdb import ALL_ENGINE_NAMES
 
@@ -113,7 +114,7 @@ class JobSpec:
         return cls(testers, engines, seeds, derive_seeds, config)
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON-ready journal/wire form (round-trips via from_dict)."""
+        """The JSON-ready journal form (round-trips via from_dict)."""
         return {
             "testers": list(self.testers),
             "engines": list(self.engines),

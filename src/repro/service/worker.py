@@ -10,11 +10,17 @@ waiting out the full lease.
 
 Messages on the pipe are dicts tagged by ``type``:
 
-* ``{"type": "heartbeat", "key": [...], "attempt": n}`` — periodic proof
-  of life;
+* ``{"type": "heartbeat", "key": [...], "attempt": n}`` — proof of life,
+  sent once on start and then every interval;
 * ``{"type": "result", ...}`` — the final guarded payload (``status`` is
   ``"ok"`` with the campaign + events, or ``"error"`` with the structured
   failure), sent exactly once.
+
+A worker outlives its scheduler only briefly: it closes every pipe read
+end it inherits, so a send to a dead scheduler fails rather than blocks.
+Against a bounded lease the heartbeat thread also exits the process once
+the scheduler is gone, so a hung attempt dies too; an unbounded attempt
+ends with its cell.
 
 Chaos hooks: the task's ``chaos`` directive (crash/hang/error) is applied
 by ``_run_cell_guarded`` itself, so an injected crash kills the heartbeat
@@ -25,70 +31,71 @@ exercising the scheduler's missed-heartbeat revocation in isolation.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
-from typing import Any, Dict
+from typing import Any, Dict, Iterable
 
 from repro.runtime.supervisor import _init_worker, _run_cell_guarded
 
 __all__ = ["lease_worker_main"]
 
 
-def _reset_inherited_signals() -> None:
-    """Detach the fork-inherited asyncio signal plumbing.
+def _heartbeat_loop(conn, task: Dict[str, Any], stop: threading.Event,
+                    scheduler: int) -> None:
+    """Beat every interval (unless stalled) until *stop*; exit once
+    orphaned.
 
-    The serving process registers SIGTERM/SIGINT handlers through
-    ``loop.add_signal_handler``, which installs a Python-level handler
-    plus a wakeup fd pointing at the event loop's self-pipe.  A forked
-    worker inherits both — so a ``terminate()`` aimed at the *worker*
-    (lease revocation, cancellation) would make the worker's handler
-    write the signum into the **parent's** wakeup pipe, and the parent
-    would drain itself as if it had been SIGTERMed.  Restore default
-    dispositions before any lease can be revoked.
+    A worker whose scheduler died (``kill -9``) has no one to report to,
+    and a hung attempt would otherwise keep it alive for minutes.
     """
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # non-main thread / closed fd: nothing leaks
-        pass
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(sig, signal.SIG_DFL)
-        except (ValueError, OSError):
-            pass
-
-
-def _heartbeat_loop(conn, task: Dict[str, Any],
-                    stop: threading.Event) -> None:
-    interval = float(task["heartbeat_seconds"])
     beat = {
         "type": "heartbeat",
         "key": list(task["key"]),
         "attempt": task["attempt"],
     }
-    while not stop.wait(interval):
-        try:
-            conn.send(beat)
-        except OSError:
+    while True:
+        if os.getppid() != scheduler:
+            os._exit(1)
+        if not task.get("stall_heartbeats"):
+            try:
+                conn.send(beat)
+            except OSError:  # The scheduler closed its end, or died.
+                os._exit(1)
+        if stop.wait(task["heartbeat_seconds"]):
             return
 
 
-def lease_worker_main(conn, task: Dict[str, Any]) -> None:
+def lease_worker_main(conn, task: Dict[str, Any],
+                      read_ends: Iterable[Any]) -> None:
     """Entry point of a lease worker process.
 
     *task* carries the cell ``key``/``spec``/``attempt``, the
     ``heartbeat_seconds`` interval (None: an unbounded lease, no beats)
-    and the optional chaos switches.
+    and the optional chaos switches.  *read_ends* are the pipe read ends
+    this process inherited from the scheduler.
     """
-    _reset_inherited_signals()
+    scheduler = os.getppid()
+    for inherited in read_ends:
+        inherited.close()
+    # A Ctrl-C reaches the whole process group, and the scheduler reaps
+    # its workers: die quietly rather than print a KeyboardInterrupt.
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+    except ValueError:  # Forked from a non-main thread: nothing inherited.
+        pass
     _init_worker()
     stop = threading.Event()
-    if task.get("heartbeat_seconds") and not task.get("stall_heartbeats"):
-        thread = threading.Thread(
-            target=_heartbeat_loop, args=(conn, task, stop), daemon=True
-        )
-        thread.start()
+    beats = None
+    if task.get("heartbeat_seconds"):
+        beats = threading.Thread(target=_heartbeat_loop,
+                                 args=(conn, task, stop, scheduler),
+                                 daemon=True)
+        beats.start()
     payload = _run_cell_guarded(task)
     stop.set()
+    if beats is not None:
+        beats.join()  # One writer at a time on the pipe.
     try:
         conn.send({"type": "result", **payload})
     except OSError:

@@ -24,6 +24,7 @@ from repro.core.reporting import (
     load_event_stream,
 )
 from repro.runtime import CampaignCell, CellConfig, ParallelCampaignRunner
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import (
     CampaignScheduler,
     JournalError,
@@ -37,6 +38,17 @@ CONFIG = CellConfig(4.0, gate_scale=0.05, max_queries=4)
 SPEC = {"testers": ["GQS", "GQT"], "engines": [ENGINE], "seeds": [0],
         "budget_seconds": 4.0, "gate_scale": 0.05, "max_queries": 4}
 POSITION = re.compile(r"line \d+ \(byte offset \d+\)")
+
+
+def fast_beats(monkeypatch):
+    """Shorten the scheduler's heartbeat and poll timing."""
+    monkeypatch.setattr(scheduler_module, "HEARTBEAT_SECONDS", 0.2)
+    monkeypatch.setattr(scheduler_module, "POLL_INTERVAL", 0.02)
+
+
+@pytest.fixture(autouse=True)
+def _fast_beats(monkeypatch):
+    fast_beats(monkeypatch)
 
 
 def grid_cells():
@@ -87,12 +99,13 @@ def grid_log(tmp_path_factory):
 @pytest.fixture(scope="module")
 def service_journal(tmp_path_factory):
     path = tmp_path_factory.mktemp("service") / "svc.jsonl"
-    scheduler = CampaignScheduler(path, jobs=1, lease_seconds=60.0,
-                                  heartbeat_seconds=0.2, poll_interval=0.02)
-    scheduler.submit(SPEC)
-    scheduler.run_until(timeout=120)
-    scheduler.drain()
-    scheduler.tick()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fast_beats(monkeypatch)
+        scheduler = CampaignScheduler(path, jobs=1, lease_seconds=60.0)
+        scheduler.submit(SPEC)
+        scheduler.run_until(timeout=120)
+        scheduler.drain()
+        scheduler.tick()
     return path.read_bytes()
 
 
@@ -108,7 +121,7 @@ def restart_service(journal, **options):
     journal never acknowledged is submitted again, as its client would."""
     scheduler = CampaignScheduler(journal, jobs=1, **options)
     try:
-        if not scheduler.jobs_overview():
+        if scheduler.job_record("job-0001") is None:
             scheduler.submit(SPEC)
         scheduler.run_until(timeout=120)
     finally:
@@ -180,12 +193,8 @@ class TestLogsFromBeforeTheScheduler:
                                                   reference):
         journal = tmp_path / "svc.jsonl"
         shutil.copy(FIXTURES / "service_interrupted.jsonl", journal)
-        scheduler = CampaignScheduler(journal, jobs=1, lease_seconds=60.0,
-                                      heartbeat_seconds=0.2,
-                                      poll_interval=0.02)
-        (job,) = scheduler.jobs_overview()
+        scheduler = CampaignScheduler(journal, jobs=1, lease_seconds=60.0)
+        job = scheduler.job_record("job-0001")
         assert job["counts"]["done"] == 1 and job["counts"]["pending"] == 1
         scheduler.close()
-        assert restart_service(journal, lease_seconds=60.0,
-                               heartbeat_seconds=0.2,
-                               poll_interval=0.02) == reference
+        assert restart_service(journal, lease_seconds=60.0) == reference

@@ -173,7 +173,7 @@ def corpus(tmp_path_factory):
     ):
         assert main([*argv, "--events", str(logs[name])]) == 0
     scheduler = CampaignScheduler(logs["service"], jobs=1,
-                                  lease_seconds=60.0, poll_interval=0.02)
+                                  lease_seconds=60.0)
     scheduler.submit({"testers": ["GQS"], "engines": ["falkordb"],
                       "seeds": [0], "budget_seconds": 3.0,
                       "record_metrics": True, "record_triage": True})
@@ -416,3 +416,21 @@ class TestRules:
                       snapshot={"bugs": {"falkordb:F9": {"count": 2}}})
         assert RunView.of([*faults, triage]).distinct_bugs == ["falkordb:F9"]
         assert RunView.of([cell("campaign_start")]).distinct_bugs == []
+
+    def test_adaptation_event_without_a_seed_renders(self, tmp_path, capsys):
+        snapshot = {"strategy": "epsilon", "rounds": 2, "observed": 6,
+                    "novel": 1,
+                    "arms": {"union": {"pulls": 2, "reward": 1,
+                                       "selected": 1}}}
+        log = tmp_path / "adaptation.jsonl"
+        log.write_text("".join(json.dumps(event) + "\n" for event in [
+            {"event": "campaign_start", "tester": "GQS",
+             "engine": "falkordb"},
+            {"event": "adaptation", "scope": "campaign", "tester": "GQS",
+             "engine": "falkordb", "snapshot": snapshot},
+        ]))
+        assert "rounds: 2" in render(capsys, "stats", str(log))
+        assert "rounds: 2" in render(capsys, "watch", str(log), "--once")
+        stats = json.loads(render(capsys, "stats", str(log),
+                                  "--format", "json"))
+        assert stats["events"] == 2

@@ -422,30 +422,29 @@ class TestPoolLifecycle:
             assert time.monotonic() < deadline, "lease process leaked"
             time.sleep(0.05)
 
-    def test_sigint_mid_grid_leaves_resumable_log(self, tmp_path):
-        # A real mid-grid kill: SIGINT the grid process after its first
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL],
+                             ids=["SIGINT", "SIGKILL"])
+    def test_sigint_mid_grid_leaves_resumable_log(self, tmp_path, signum):
+        # A real mid-grid kill: signal the grid process after its first
         # completion-order checkpoint, then resume and demand
-        # byte-identity with an uninterrupted reference run.
+        # byte-identity with an uninterrupted reference run.  The grid
+        # records queries, and GQT's result (about 100 KB) overflows the
+        # pipe buffer: a worker that outlives a killed scheduler must not
+        # block forever sending it.
         log_path = tmp_path / "interrupted.jsonl"
-        grid = [
-            CampaignCell("GQS", ENGINE, 0, CellConfig(2.0, gate_scale=0.05)),
-            CampaignCell("GQT", ENGINE, 0, CellConfig(8.0, gate_scale=0.05)),
-            CampaignCell("GRev", ENGINE, 0, CellConfig(8.0, gate_scale=0.05)),
-        ]
+        budgets = (("GQS", 2.0), ("GQT", 300.0), ("GRev", 8.0))
+        grid = [CampaignCell(tester, ENGINE, 0,
+                             CellConfig(budget, gate_scale=0.05))
+                for tester, budget in budgets]
         script = (
             "import sys\n"
             "from repro.runtime import (\n"
             "    CampaignCell, CellConfig, ParallelCampaignRunner)\n"
-            "cells = [\n"
-            "    CampaignCell('GQS', 'falkordb', 0,\n"
-            "                 CellConfig(2.0, gate_scale=0.05)),\n"
-            "    CampaignCell('GQT', 'falkordb', 0,\n"
-            "                 CellConfig(8.0, gate_scale=0.05)),\n"
-            "    CampaignCell('GRev', 'falkordb', 0,\n"
-            "                 CellConfig(8.0, gate_scale=0.05)),\n"
-            "]\n"
-            "ParallelCampaignRunner(jobs=2, events_path=sys.argv[1])"
-            ".run(cells)\n"
+            f"cells = [CampaignCell(tester, {ENGINE!r}, 0,\n"
+            "                      CellConfig(budget, gate_scale=0.05))\n"
+            f"         for tester, budget in {budgets!r}]\n"
+            "ParallelCampaignRunner(jobs=2, events_path=sys.argv[1],\n"
+            "                       record_queries=True).run(cells)\n"
         )
         env = dict(os.environ)
         src = str((os.path.dirname(os.path.dirname(
@@ -466,7 +465,7 @@ class TestPoolLifecycle:
                 time.sleep(0.05)
             else:
                 pytest.fail("grid never checkpointed a cell")
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             proc.wait(timeout=60)
         finally:
             if proc.poll() is None:
@@ -479,6 +478,16 @@ class TestPoolLifecycle:
         checkpointed = [e for e in events if e["event"] == "cell_complete"]
         assert checkpointed
 
+        # No lease worker outlives the grid by more than 30 s.
+        pids = {e["pid"] for e in events if e["event"] == "lease"}
+        deadline = time.monotonic() + 30.0
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, (
+                "orphaned lease workers: "
+                f"{sorted(pid for pid in pids if _running(pid))}"
+            )
+            time.sleep(0.1)
+
         reference = ParallelCampaignRunner(jobs=1).run(grid)
         resumed = ParallelCampaignRunner(
             jobs=1, events_path=tmp_path / "resumed.jsonl",
@@ -490,6 +499,16 @@ class TestPoolLifecycle:
                          if e["event"] == "grid_start")
         assert grid_start["resumed"] == len(checkpointed)
         assert grid_start["pending"] == len(grid) - len(checkpointed)
+
+
+def _running(pid):
+    """Whether *pid* is a live process (neither gone nor a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
 
 
 # -- CLI diagnostics --------------------------------------------------------
