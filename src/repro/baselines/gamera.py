@@ -28,7 +28,6 @@ from repro.baselines.common import (
 )
 from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.engine.evaluator import has_aggregate
 from repro.gdb.engines import GraphDatabase
 from repro.runtime.protocol import SessionPolicy
@@ -133,7 +132,7 @@ class GameraTester(BaselineTester):
         if exc is not None:
             if self._is_hard_failure(exc):
                 return self._error_report(
-                    engine, print_query(query), exc, result.sim_seconds
+                    engine, query.text, exc, result.sim_seconds
                 )
             return None
 
@@ -150,7 +149,7 @@ class GameraTester(BaselineTester):
             if aug_exc is not None:
                 if self._is_hard_failure(aug_exc):
                     return self._error_report(
-                        engine, print_query(query), aug_exc, result.sim_seconds
+                        engine, query.text, aug_exc, result.sim_seconds
                     )
             elif not base.same_rows(aug_result):
                 return self._violation(engine, query, fired, result,
@@ -166,7 +165,7 @@ class GameraTester(BaselineTester):
             if sup_exc is not None:
                 if self._is_hard_failure(sup_exc):
                     return self._error_report(
-                        engine, print_query(relaxed), sup_exc, result.sim_seconds
+                        engine, relaxed.text, sup_exc, result.sim_seconds
                     )
             elif not base.is_sub_bag_of(sup_result):
                 return self._violation(engine, query, fired, result,
@@ -180,7 +179,7 @@ class GameraTester(BaselineTester):
             engine=engine.name,
             kind="logic",
             detail=detail,
-            query_text=print_query(query),
+            query_text=query.text,
             fault_id=fault.fault_id if fault else None,
             sim_time=result.sim_seconds,
         )

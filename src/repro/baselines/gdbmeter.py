@@ -25,7 +25,6 @@ from repro.baselines.common import (
 )
 from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.engine.binding import ResultSet
 from repro.gdb.engines import GraphDatabase
 from repro.runtime.protocol import SessionPolicy
@@ -123,7 +122,7 @@ class GDBMeterTester(BaselineTester):
             _res, exc = run_query_guarded(engine, query)
             if exc is not None and self._is_hard_failure(exc):
                 return self._error_report(
-                    engine, print_query(query), exc, result.sim_seconds
+                    engine, query.text, exc, result.sim_seconds
                 )
             return None
 
@@ -136,7 +135,7 @@ class GDBMeterTester(BaselineTester):
             if exc is not None:
                 if self._is_hard_failure(exc):
                     return self._error_report(
-                        engine, print_query(variant), exc, result.sim_seconds
+                        engine, variant.text, exc, result.sim_seconds
                     )
                 return None  # plain errors void the metamorphic relation
             outputs.append(res)
@@ -151,7 +150,7 @@ class GDBMeterTester(BaselineTester):
             engine=engine.name,
             kind="logic",
             detail="TLP violation: R(P) U R(NOT P) U R(P IS NULL) != R(TRUE)",
-            query_text=print_query(query),
+            query_text=query.text,
             fault_id=fault.fault_id if fault else None,
             sim_time=result.sim_seconds,
         )

@@ -25,7 +25,6 @@ from repro.baselines.common import (
     run_and_observe,
 )
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.gdb.engines import GraphDatabase
 from repro.runtime.protocol import Judgement, SessionPolicy
 from repro.runtime.results import BugReport, CampaignResult
@@ -113,7 +112,7 @@ class GDsmithTester(BaselineTester):
                 fired_engine = gdb
             if exc is not None and self._is_hard_failure(exc):
                 return self._error_report(
-                    gdb, print_query(query), exc, result.sim_seconds
+                    gdb, query.text, exc, result.sim_seconds
                 )
             outcomes.append((gdb, res, exc))
 
@@ -134,7 +133,7 @@ class GDsmithTester(BaselineTester):
             engine=report_engine.name,
             kind="logic",
             detail="differential discrepancy across engines",
-            query_text=print_query(query),
+            query_text=query.text,
             fault_id=fired.fault_id if fired else None,
             sim_time=result.sim_seconds,
         )

@@ -29,7 +29,6 @@ from repro.baselines.common import (
 )
 from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.engine.evaluator import has_aggregate
 from repro.gdb.engines import GraphDatabase
 from repro.graph.model import PropertyGraph
@@ -158,7 +157,7 @@ class GQTTester(BaselineTester):
         if exc is not None:
             if self._is_hard_failure(exc):
                 return self._error_report(
-                    engine, print_query(query), exc, result.sim_seconds
+                    engine, query.text, exc, result.sim_seconds
                 )
             return None
 
@@ -179,7 +178,7 @@ class GQTTester(BaselineTester):
             if var_exc is not None:
                 if self._is_hard_failure(var_exc):
                     return self._error_report(
-                        engine, print_query(variant), var_exc, result.sim_seconds
+                        engine, variant.text, var_exc, result.sim_seconds
                     )
                 continue
             violated = False
@@ -195,7 +194,7 @@ class GQTTester(BaselineTester):
                     engine=engine.name,
                     kind="logic",
                     detail=detail,
-                    query_text=print_query(query),
+                    query_text=query.text,
                     fault_id=fired.fault_id if fired else None,
                     sim_time=result.sim_seconds,
                 )

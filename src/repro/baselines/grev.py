@@ -27,7 +27,6 @@ from repro.baselines.common import (
 )
 from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.gdb.engines import GraphDatabase
 from repro.runtime.protocol import SessionPolicy
 
@@ -163,7 +162,7 @@ class GRevTester(BaselineTester):
         if exc is not None:
             if self._is_hard_failure(exc):
                 return self._error_report(
-                    engine, print_query(query), exc, result.sim_seconds
+                    engine, query.text, exc, result.sim_seconds
                 )
             return None
 
@@ -181,7 +180,7 @@ class GRevTester(BaselineTester):
             if var_exc is not None:
                 if self._is_hard_failure(var_exc):
                     return self._error_report(
-                        engine, print_query(variant), var_exc, result.sim_seconds
+                        engine, variant.text, var_exc, result.sim_seconds
                     )
                 continue
             if not base.same_rows(res):
@@ -190,7 +189,7 @@ class GRevTester(BaselineTester):
                     engine=engine.name,
                     kind="logic",
                     detail="equivalent rewrite produced a different result",
-                    query_text=print_query(query),
+                    query_text=query.text,
                     fault_id=fired.fault_id if fired else None,
                     sim_time=result.sim_seconds,
                 )

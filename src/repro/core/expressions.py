@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import string
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cypher import ast
 from repro.engine.errors import CypherError
@@ -62,6 +62,63 @@ _Template = Callable[[ast.Expression], ast.Expression]
 # Algorithm 2 evaluates each template over this variable, bound in turn to
 # the intended value and to each distinct competitor value.
 _PLACEHOLDER = ast.Variable("__value")
+
+
+# Template tables for Algorithm 2, indexed by the draw in _pick_template:
+# each entry builds the wrapped expression from the inner one and the
+# operands drawn for its value type (see there for their order).
+_NUMERIC_TEMPLATES = (
+    lambda e, d: ast.Binary("+", e, _lit(d[0])),
+    lambda e, d: ast.Binary("-", e, _lit(d[0])),
+    lambda e, d: ast.Binary("*", e, _lit(d[0])),
+    lambda e, d: ast.Unary("-", e),
+    lambda e, d: ast.FunctionCall("abs", (e,)),
+    lambda e, d: ast.FunctionCall("sign", (e,)),
+    lambda e, d: ast.FunctionCall("exp", (e,)),
+    lambda e, d: ast.FunctionCall("toString", (e,)),
+    lambda e, d: ast.FunctionCall("toFloat", (e,)),
+    lambda e, d: ast.Binary("/", e, _lit(d[1])),
+)
+_FLOAT_TEMPLATES = _NUMERIC_TEMPLATES + (
+    lambda e, d: ast.FunctionCall("round", (e,)),
+    lambda e, d: ast.FunctionCall("floor", (e,)),
+    lambda e, d: ast.FunctionCall("ceil", (e,)),
+)
+_INTEGER_TEMPLATES = _NUMERIC_TEMPLATES + (
+    lambda e, d: ast.Binary("%", e, _lit(d[2])),
+)
+_STRING_TEMPLATES = (
+    lambda e, d: ast.Binary("+", e, _lit(d[0])),
+    lambda e, d: ast.Binary("+", _lit(d[0]), e),
+    lambda e, d: ast.FunctionCall("reverse", (e,)),
+    lambda e, d: ast.FunctionCall("toUpper", (e,)),
+    lambda e, d: ast.FunctionCall("toLower", (e,)),
+    lambda e, d: ast.FunctionCall("trim", (e,)),
+    lambda e, d: ast.FunctionCall("ltrim", (ast.Binary("+", _lit(" "), e),)),
+    lambda e, d: ast.FunctionCall("rtrim", (e,)),
+    lambda e, d: ast.FunctionCall("char_length", (e,)),
+    lambda e, d: ast.FunctionCall("size", (e,)),
+    lambda e, d: ast.FunctionCall("replace", (e, _lit(d[1]), _lit(d[2]))),
+    lambda e, d: ast.FunctionCall("split", (e, _lit(d[3]))),
+    lambda e, d: ast.Binary("STARTS WITH", ast.Binary("+", e, _lit(d[0])), e),
+)
+_BOOLEAN_TEMPLATES = (
+    lambda e, d: ast.Unary("NOT", e),
+    lambda e, d: ast.FunctionCall("toString", (e,)),
+    lambda e, d: ast.Binary("XOR", e, _lit(d[0])),
+    lambda e, d: ast.CaseExpression(
+        None, (ast.CaseAlternative(e, _lit(d[1])),), _lit(d[2])
+    ),
+)
+_LIST_TEMPLATES = (
+    lambda e, d: ast.FunctionCall("size", (e,)),
+    lambda e, d: ast.FunctionCall("head", (e,)),
+    lambda e, d: ast.FunctionCall("last", (e,)),
+    lambda e, d: ast.FunctionCall("reverse", (e,)),
+    lambda e, d: ast.FunctionCall("tail", (e,)),
+    lambda e, d: ast.FunctionCall("isEmpty", (e,)),
+    lambda e, d: ast.Binary("+", e, ast.ListLiteral((_lit(d[0]),))),
+)
 
 
 def _exact_key(value: Any) -> Any:
@@ -383,106 +440,36 @@ class ExpressionFactory:
         return new_value, new_others
 
     def _pick_template(self, value_type: str) -> Optional[_Template]:
-        """Draw a wrapping template accepting a parameter of *value_type*."""
-        rng = self.rng
-        templates: List[_Template] = []
+        """Draw a wrapping template accepting a parameter of *value_type*.
 
-        # NOTE: every random operand is drawn *now* and bound via default
-        # arguments.  A template is applied twice — once on a placeholder
-        # variable to compute the values, once on the real property access
-        # — and both applications must produce the same constants.
+        Every random operand is drawn *now*, then the template, and only
+        the drawn template is built.  A template is applied twice — once on
+        a placeholder variable to compute the values, once on the real
+        property access — and both applications must produce the same
+        constants.
+        """
+        rng = self.rng
         if value_type in ("INTEGER", "FLOAT"):
-            constant = rng.randint(1, 9)
-            divisor = rng.choice([2, 3, 4])
-            modulus = rng.randint(5, 50)
-            templates.extend(
-                [
-                    lambda e, c=constant: ast.Binary("+", e, _lit(c)),
-                    lambda e, c=constant: ast.Binary("-", e, _lit(c)),
-                    lambda e, c=constant: ast.Binary("*", e, _lit(c)),
-                    lambda e: ast.Unary("-", e),
-                    lambda e: ast.FunctionCall("abs", (e,)),
-                    lambda e: ast.FunctionCall("sign", (e,)),
-                    lambda e: ast.FunctionCall("exp", (e,)),
-                    lambda e: ast.FunctionCall("toString", (e,)),
-                    lambda e: ast.FunctionCall("toFloat", (e,)),
-                    lambda e, d=divisor: ast.Binary("/", e, _lit(d)),
-                ]
+            # (constant, divisor, modulus)
+            drawn: Tuple[Any, ...] = (
+                rng.randint(1, 9), rng.choice([2, 3, 4]), rng.randint(5, 50)
             )
-            if value_type == "FLOAT":
-                templates.extend(
-                    [
-                        lambda e: ast.FunctionCall("round", (e,)),
-                        lambda e: ast.FunctionCall("floor", (e,)),
-                        lambda e: ast.FunctionCall("ceil", (e,)),
-                    ]
-                )
-            else:
-                templates.append(
-                    lambda e, m=modulus: ast.Binary("%", e, _lit(m))
-                )
+            table = _FLOAT_TEMPLATES if value_type == "FLOAT" else _INTEGER_TEMPLATES
         elif value_type == "STRING":
-            word = self._random_word()
-            needle = self._random_word()
-            replacement = self._random_word()
-            separator = self._random_word()
-            templates.extend(
-                [
-                    lambda e, w=word: ast.Binary("+", e, _lit(w)),
-                    lambda e, w=word: ast.Binary("+", _lit(w), e),
-                    lambda e: ast.FunctionCall("reverse", (e,)),
-                    lambda e: ast.FunctionCall("toUpper", (e,)),
-                    lambda e: ast.FunctionCall("toLower", (e,)),
-                    lambda e: ast.FunctionCall("trim", (e,)),
-                    lambda e, w=word: ast.FunctionCall(
-                        "ltrim", (ast.Binary("+", _lit(" "), e),)
-                    ),
-                    lambda e: ast.FunctionCall("rtrim", (e,)),
-                    lambda e: ast.FunctionCall("char_length", (e,)),
-                    lambda e: ast.FunctionCall("size", (e,)),
-                    lambda e, n=needle, r=replacement: ast.FunctionCall(
-                        "replace", (e, _lit(n), _lit(r))
-                    ),
-                    lambda e, s=separator: ast.FunctionCall("split", (e, _lit(s))),
-                    lambda e, w=word: ast.Binary(
-                        "STARTS WITH", ast.Binary("+", e, _lit(w)), e
-                    ),
-                ]
-            )
+            # (word, needle, replacement, separator)
+            drawn = tuple(self._random_word() for _ in range(4))
+            table = _STRING_TEMPLATES
         elif value_type == "BOOLEAN":
-            flip = rng.random() < 0.5
-            then_value = rng.randint(0, 9)
-            else_value = rng.randint(10, 19)
-            templates.extend(
-                [
-                    lambda e: ast.Unary("NOT", e),
-                    lambda e: ast.FunctionCall("toString", (e,)),
-                    lambda e, f=flip: ast.Binary("XOR", e, _lit(f)),
-                    lambda e, t=then_value, z=else_value: ast.CaseExpression(
-                        None,
-                        (ast.CaseAlternative(e, _lit(t)),),
-                        _lit(z),
-                    ),
-                ]
-            )
+            # (flip, then value, else value)
+            drawn = (rng.random() < 0.5, rng.randint(0, 9), rng.randint(10, 19))
+            table = _BOOLEAN_TEMPLATES
         elif value_type == "LIST":
-            extra = self._random_literal()
-            templates.extend(
-                [
-                    lambda e: ast.FunctionCall("size", (e,)),
-                    lambda e: ast.FunctionCall("head", (e,)),
-                    lambda e: ast.FunctionCall("last", (e,)),
-                    lambda e: ast.FunctionCall("reverse", (e,)),
-                    lambda e: ast.FunctionCall("tail", (e,)),
-                    lambda e: ast.FunctionCall("isEmpty", (e,)),
-                    lambda e, x=extra: ast.Binary(
-                        "+", e, ast.ListLiteral((_lit(x),))
-                    ),
-                ]
-            )
-        if not templates:
+            drawn = (self._random_literal(),)
+            table = _LIST_TEMPLATES
+        else:
             return None
-        return rng.choice(templates)
+        build = rng.choice(table)
+        return lambda e: build(e, drawn)
 
     # ------------------------------------------------------------------
     # Helpers

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.expressions import ExpressionFactory
 from repro.cypher import ast
 from repro.engine.matcher import Matcher
+from repro.graph import values as V
 from repro.graph.model import Node, PropertyGraph, Relationship
 
 __all__ = ["GraphPath", "SynthesizedMatch", "PatternBuilder"]
@@ -128,6 +129,9 @@ class PatternBuilder:
         self.extra_predicate_probability = extra_predicate_probability
         self.split_probability = split_probability
         self._matcher = Matcher(graph, enforce_rel_uniqueness=True)
+        # (is node, property name) -> [(element id, non-null value)] over
+        # the graph, which a builder never sees change.
+        self._values_by_name: Dict[Tuple[bool, str], List[Tuple[int, Any]]] = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -449,9 +453,7 @@ class PatternBuilder:
 
         while True:
             if matches is None:
-                matches = list(itertools.islice(
-                    self._matcher.match(patterns, row), match_budget
-                ))
+                matches = self._matcher.collect(patterns, row, match_budget)
             ambiguous = self._ambiguous_variable(matches, bindings, pinned)
             if ambiguous is None:
                 break
@@ -511,6 +513,21 @@ class PatternBuilder:
             return 0
         return self.rng.randint(1, self.obfuscation_depth)
 
+    def _competitor_values(self, element: Any, name: str) -> List[Any]:
+        """Non-null values of *name* on the other elements of *element*'s
+        kind, in graph order (Algorithm 2's S2)."""
+        is_node = isinstance(element, Node)
+        values = self._values_by_name.get((is_node, name))
+        if values is None:
+            elements = self.graph.nodes() if is_node else self.graph.relationships()
+            values = self._values_by_name[(is_node, name)] = [
+                (other.id, other.properties[name])
+                for other in elements
+                if other.properties.get(name) is not None
+            ]
+        element_id = element.id
+        return [value for other_id, value in values if other_id != element_id]
+
     def _pin_predicate(self, var: str, element: Any) -> ast.Expression:
         """``var.id = <id>``, optionally obfuscated with Algorithm 2."""
         rng = self.rng
@@ -523,19 +540,7 @@ class PatternBuilder:
         access: ast.Expression = ast.PropertyAccess(
             ast.Variable(var), self.id_property
         )
-        if isinstance(element, Node):
-            competitors = [
-                node.properties.get(self.id_property)
-                for node in self.graph.nodes()
-                if node.id != element.id
-            ]
-        else:
-            competitors = [
-                rel.properties.get(self.id_property)
-                for rel in self.graph.relationships()
-                if rel.id != element.id
-            ]
-        competitors = [value for value in competitors if value is not None]
+        competitors = self._competitor_values(element, self.id_property)
 
         expected = id_value
         if rng.random() < 0.7:
@@ -550,8 +555,6 @@ class PatternBuilder:
     def _truthful_predicate(self, var: str, element: Any) -> Optional[ast.Expression]:
         """A predicate over *var* that is true for its intended binding."""
         rng = self.rng
-        from repro.graph import values as V
-
         names = [
             name
             for name, value in element.properties.items()
@@ -563,19 +566,7 @@ class PatternBuilder:
         value = element.properties[name]
         access: ast.Expression = ast.PropertyAccess(ast.Variable(var), name)
 
-        if isinstance(element, Node):
-            pool = [
-                node.properties.get(name)
-                for node in self.graph.nodes()
-                if node.id != element.id
-            ]
-        else:
-            pool = [
-                rel.properties.get(name)
-                for rel in self.graph.relationships()
-                if rel.id != element.id
-            ]
-        pool = [item for item in pool if item is not None]
+        pool = self._competitor_values(element, name)
 
         expected = value
         if rng.random() < 0.5:

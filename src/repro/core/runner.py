@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterator, Optional
 from repro.core.ground_truth import select_ground_truth
 from repro.core.oracle import check_result
 from repro.core.synthesizer import QuerySynthesizer, SynthesizerConfig
-from repro.cypher.printer import print_query
 from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
 from repro.gdb.engines import GraphDatabase
 from repro.graph.generator import GeneratorConfig
@@ -110,12 +109,12 @@ class GQSTester(TesterProtocol):
         result: CampaignResult,
     ) -> Judgement:
         """Step 4: execute and validate against the established ground truth."""
-        query_text = print_query(synthesis.query)
+        query_text = synthesis.query.text
         result.sim_seconds += engine.cost_of(synthesis.query)
 
         report: Optional[BugReport] = None
         try:
-            actual = engine.execute(synthesis.query, text=query_text)
+            actual = engine.execute(synthesis.query)
         except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
             # Step 4 (error case): crashes/hangs/exceptions are detected at
             # no extra oracle cost.

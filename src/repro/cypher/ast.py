@@ -506,7 +506,7 @@ class Merge(Clause):
 # ---------------------------------------------------------------------------
 
 class _Analyzed:
-    """A whole query, whose analysis facts are walked once and kept."""
+    """A whole query, whose text and analysis facts are derived once and kept."""
 
     @cached_property
     def facts(self) -> Any:
@@ -514,6 +514,17 @@ class _Analyzed:
         from repro.cypher.analysis import QueryFacts  # imports this module
 
         return QueryFacts.of(self)
+
+    @cached_property
+    def text(self) -> str:
+        """The :func:`repro.cypher.printer.print_query` text of this tree.
+
+        Differential testers hand one tree to several engines; each reads
+        the text printed by the first.
+        """
+        from repro.cypher.printer import print_query  # imports this module
+
+        return print_query(self)
 
 
 @dataclass(frozen=True)

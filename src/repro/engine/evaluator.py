@@ -181,15 +181,12 @@ class Evaluator:
 
     def _pattern_predicate(self, expr: ast.PatternPredicate, row: Dict[str, Any]) -> bool:
         # Existential check: does at least one match extend the current row?
-        from repro.engine.matcher import Matcher
+        from repro.engine.matcher import Matcher  # the matcher imports this module
 
         for name in expr.pattern.variables():
             if name in row and row[name] is None:
                 return False
-        matcher = Matcher(self.graph)
-        for _match in matcher.match((expr.pattern,), row):
-            return True
-        return False
+        return Matcher(self.graph).exists((expr.pattern,), row)
 
     def _property(self, expr: ast.PropertyAccess, row: Dict[str, Any]) -> Any:
         subject = self.evaluate(expr.subject, row)

@@ -151,16 +151,19 @@ class Executor:
         out_columns = table.columns + new_vars
         out_rows: List[Row] = []
 
-        for row in table.rows:
-            survivors: List[Row] = []
-            for bindings in self.matcher.match(clause.patterns, row):
-                merged = dict(row)
-                merged.update(bindings)
-                if clause.where is not None:
-                    verdict = self.evaluator.evaluate_predicate(clause.where, merged)
-                    if verdict is not True:
-                        continue
+        where = clause.where
+        evaluate_predicate = self.evaluator.evaluate_predicate
+        survivors: List[Row] = []
+
+        def keep(bindings: Row) -> bool:
+            merged = dict(bindings)
+            if where is None or evaluate_predicate(where, merged) is True:
                 survivors.append(merged)
+            return False
+
+        for row in table.rows:
+            survivors.clear()
+            self.matcher.match(clause.patterns, row, keep)
             if survivors:
                 out_rows.extend(survivors)
             elif clause.optional:
@@ -578,12 +581,9 @@ class Executor:
         ]
         out_rows: List[Row] = []
         for row in table.rows:
-            matches = list(self.matcher.match((clause.pattern,), row))
+            matches = self.matcher.collect((clause.pattern,), row)
             if matches:
-                for bindings in matches:
-                    merged = dict(row)
-                    merged.update(bindings)
-                    out_rows.append(merged)
+                out_rows.extend(matches)
             else:
                 merged = dict(row)
                 self._create_pattern(clause.pattern, merged)

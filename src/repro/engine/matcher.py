@@ -13,11 +13,18 @@ Implements openCypher matching semantics:
 
 Matching is deterministic (candidates are enumerated in id order) so that
 engine comparisons are reproducible.
+
+Enumeration is one in-place backtracking search: a single bindings dict
+and a single used-relationship set are extended before each recursive step
+and restored after it, and a *visitor* is called at every full match.  The
+visitor runs exactly where the search stands, so a caller's per-match work
+(WHERE evaluation, budget charges, raised errors) interleaves with the
+search; it returns true to stop the enumeration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cypher import ast
 from repro.engine.envelope import ENVELOPE
@@ -28,6 +35,12 @@ from repro.graph.model import Node, Path, PropertyGraph, Relationship
 from repro.obs import PROBE
 
 __all__ = ["Matcher"]
+
+#: Called with the live bindings at each full match; true stops the search.
+Visitor = Callable[[Dict[str, Any]], bool]
+
+#: Marks a variable that was absent before a search step bound it.
+_UNBOUND = object()
 
 
 class Matcher:
@@ -47,15 +60,43 @@ class Matcher:
         self,
         patterns: Tuple[ast.PathPattern, ...],
         row: Dict[str, Any],
-    ) -> Iterator[Dict[str, Any]]:
-        """Yield all extensions of *row* satisfying every pattern.
+        visit: Visitor,
+    ) -> bool:
+        """Call *visit* with every extension of *row* satisfying *patterns*.
 
-        Each yielded dict contains only the *new* bindings introduced by the
-        patterns (the caller merges them into the row).
+        The visitor receives the live bindings: *row*'s entries followed by
+        the pattern variables, in binding order.  The dict is restored as
+        the search backtracks, so a visitor that keeps a match copies it.
+        A visitor returning true stops the enumeration; ``match`` returns
+        whether one did.
         """
         if PROBE.on:
             self.profile_calls += 1
-        yield from self._match_from(patterns, 0, dict(row), set())
+        return self._match_from(patterns, 0, dict(row), set(), visit)
+
+    def exists(
+        self, patterns: Tuple[ast.PathPattern, ...], row: Dict[str, Any]
+    ) -> bool:
+        """Whether any extension of *row* satisfies *patterns*."""
+        return self.match(patterns, row, _stop)
+
+    def collect(
+        self,
+        patterns: Tuple[ast.PathPattern, ...],
+        row: Dict[str, Any],
+        limit: Optional[int] = None,
+    ) -> List[Dict[str, Any]]:
+        """The first *limit* matches (all of them by default), copied."""
+        matches: List[Dict[str, Any]] = []
+
+        def keep(bindings: Dict[str, Any]) -> bool:
+            matches.append(dict(bindings))
+            return len(matches) == limit
+
+        self.match(patterns, row, keep)
+        return matches
+
+    # -- search ---------------------------------------------------------
 
     def _match_from(
         self,
@@ -63,34 +104,53 @@ class Matcher:
         index: int,
         bindings: Dict[str, Any],
         used_rels: Set[int],
-    ) -> Iterator[Dict[str, Any]]:
+        visit: Visitor,
+    ) -> bool:
         if index == len(patterns):
-            yield dict(bindings)
-            return
-        for extended, used in self._match_chain(patterns[index], bindings, used_rels):
-            yield from self._match_from(patterns, index + 1, extended, used)
-
-    # -- single chain ---------------------------------------------------
-
-    def _match_chain(
-        self,
-        pattern: ast.PathPattern,
-        bindings: Dict[str, Any],
-        used_rels: Set[int],
-    ) -> Iterator[Tuple[Dict[str, Any], Set[int]]]:
+            return visit(bindings)
+        pattern = patterns[index]
         first = pattern.nodes[0]
-        for node in self._node_candidates(first, bindings):
-            new_bindings = dict(bindings)
-            if first.variable:
-                new_bindings[first.variable] = node
-            # The chain is kept only for a path variable to bind.
-            chain = ([node], []) if pattern.path_variable else (None, None)
-            yield from self._extend(
-                pattern, 0, node, new_bindings, set(used_rels), *chain
+        variable = first.variable
+        if variable and variable in bindings:
+            bound = bindings[variable]
+            if bound is None:
+                return False  # null from OPTIONAL MATCH never re-matches
+            if not isinstance(bound, Node):
+                raise CypherTypeError(f"variable `{variable}` is not a node")
+            candidates: Any = (bound,)
+        elif first.labels:
+            # Label index lookup; intersect on the first label.
+            candidates = self.graph.nodes_with_label_sorted(first.labels[0])
+        else:
+            candidates = self.graph.nodes_sorted()
+        # The chain is kept only for a path variable to bind.
+        chain = pattern.path_variable is not None
+        labels = first.labels
+        properties = first.properties
+        for node in candidates:
+            if labels and not node.labels.issuperset(labels):
+                continue
+            if properties is not None and not self._properties_match(
+                properties, node, bindings
+            ):
+                continue
+            if variable:
+                previous = bindings.get(variable, _UNBOUND)
+                bindings[variable] = node
+            stop = self._extend(
+                patterns, index, pattern, 0, node, bindings, used_rels,
+                [node] if chain else None, [] if chain else None, visit,
             )
+            if variable:
+                _restore(bindings, variable, previous)
+            if stop:
+                return True
+        return False
 
     def _extend(
         self,
+        patterns: Tuple[ast.PathPattern, ...],
+        index: int,
         pattern: ast.PathPattern,
         rel_index: int,
         current: Node,
@@ -98,143 +158,103 @@ class Matcher:
         used_rels: Set[int],
         chain_nodes: Optional[List[Node]],
         chain_rels: Optional[List[Relationship]],
-    ) -> Iterator[Tuple[Dict[str, Any], Set[int]]]:
+        visit: Visitor,
+    ) -> bool:
         if ENVELOPE.limit is not None:
             # One step per partial-chain extension: variable-length patterns
             # blow up here, not in the evaluator, so the resource envelope
             # must meter this loop too.
             ENVELOPE.charge()
-        if rel_index == len(pattern.relationships):
-            if pattern.path_variable:
-                bindings = dict(bindings)
-                bindings[pattern.path_variable] = Path(
-                    tuple(chain_nodes), tuple(chain_rels)
+        relationships = pattern.relationships
+        if rel_index == len(relationships):
+            path_variable = pattern.path_variable
+            if path_variable is None:
+                return self._match_from(
+                    patterns, index + 1, bindings, used_rels, visit
                 )
-            yield bindings, used_rels
-            return
+            previous = bindings.get(path_variable, _UNBOUND)
+            bindings[path_variable] = Path(tuple(chain_nodes), tuple(chain_rels))
+            stop = self._match_from(patterns, index + 1, bindings, used_rels, visit)
+            _restore(bindings, path_variable, previous)
+            return stop
 
-        rel_pattern = pattern.relationships[rel_index]
-        next_node_pattern = pattern.nodes[rel_index + 1]
-
-        for rel, target_id in self._rel_candidates(rel_pattern, current, bindings):
-            if self.enforce_rel_uniqueness and rel.id in used_rels:
-                continue
-            target = self.graph.node(target_id)
-            if not self._node_matches(next_node_pattern, target, bindings):
-                continue
-            new_bindings = dict(bindings)
-            if rel_pattern.variable:
-                new_bindings[rel_pattern.variable] = rel
-            if next_node_pattern.variable:
-                new_bindings[next_node_pattern.variable] = target
-            new_used = set(used_rels)
-            new_used.add(rel.id)
-            if chain_nodes is not None:
-                chain = (chain_nodes + [target], chain_rels + [rel])
-            else:
-                chain = (None, None)
-            yield from self._extend(
-                pattern, rel_index + 1, target, new_bindings, new_used, *chain
-            )
-
-    # -- candidates -----------------------------------------------------
-
-    def _node_candidates(
-        self, node_pattern: ast.NodePattern, bindings: Dict[str, Any]
-    ) -> Iterator[Node]:
-        if node_pattern.variable and node_pattern.variable in bindings:
-            bound = bindings[node_pattern.variable]
+        rel_pattern = relationships[rel_index]
+        next_pattern = pattern.nodes[rel_index + 1]
+        rel_variable = rel_pattern.variable
+        node_variable = next_pattern.variable
+        bound_id = None
+        if rel_variable and rel_variable in bindings:
+            bound = bindings[rel_variable]
             if bound is None:
-                return  # null from OPTIONAL MATCH never re-matches
-            if not isinstance(bound, Node):
-                raise CypherTypeError(
-                    f"variable `{node_pattern.variable}` is not a node"
-                )
-            if self._node_matches(node_pattern, bound, bindings, check_binding=False):
-                yield bound
-            return
-
-        if node_pattern.labels:
-            # Label index lookup; intersect on the first label.
-            candidates = self.graph.nodes_with_label_sorted(node_pattern.labels[0])
-        else:
-            candidates = self.graph.nodes_sorted()
-
-        for node in candidates:
-            if self._node_matches(node_pattern, node, bindings, check_binding=False):
-                yield node
-
-    def _node_matches(
-        self,
-        node_pattern: ast.NodePattern,
-        node: Node,
-        bindings: Dict[str, Any],
-        check_binding: bool = True,
-    ) -> bool:
-        if check_binding and node_pattern.variable and node_pattern.variable in bindings:
-            bound = bindings[node_pattern.variable]
-            if not isinstance(bound, Node) or bound.id != node.id:
                 return False
-        if any(label not in node.labels for label in node_pattern.labels):
-            return False
-        if node_pattern.properties is not None:
-            if not self._properties_match(node_pattern.properties, node, bindings):
-                return False
-        return True
-
-    def _rel_candidates(
-        self,
-        rel_pattern: ast.RelationshipPattern,
-        current: Node,
-        bindings: Dict[str, Any],
-    ) -> Iterator[Tuple[Relationship, int]]:
-        """Yield (relationship, far-end node id) pairs leaving *current*."""
-        direction = rel_pattern.direction
-
-        if rel_pattern.variable and rel_pattern.variable in bindings:
-            bound = bindings[rel_pattern.variable]
-            if bound is None:
-                return
             if not isinstance(bound, Relationship):
                 raise CypherTypeError(
-                    f"variable `{rel_pattern.variable}` is not a relationship"
+                    f"variable `{rel_variable}` is not a relationship"
                 )
-            for rel, far in self._enumerate_rels(direction, current):
-                if rel.id == bound.id and self._rel_matches(
-                    rel_pattern, rel, bindings
-                ):
-                    yield rel, far
-            return
-
-        for rel, far in self._enumerate_rels(direction, current):
-            if self._rel_matches(rel_pattern, rel, bindings):
-                yield rel, far
-
-    def _enumerate_rels(
-        self, direction: str, current: Node
-    ) -> Iterator[Tuple[Relationship, int]]:
-        if direction in (ast.OUT, ast.BOTH):
-            for rel in self.graph.outgoing_sorted(current.id):
-                yield rel, rel.end
-        if direction in (ast.IN, ast.BOTH):
-            for rel in self.graph.incoming_sorted(current.id):
-                # Skip self-loops already produced by the outgoing side.
-                if direction == ast.BOTH and rel.start == rel.end:
+            bound_id = bound.id
+        types = rel_pattern.types
+        # One type reads the typed adjacency: the same pairs in the same
+        # order, minus those the type check would reject first.
+        pairs = self.graph.expand_pairs(
+            current.id, rel_pattern.direction,
+            types[0] if len(types) == 1 else None,
+        )
+        properties = rel_pattern.properties
+        unique = self.enforce_rel_uniqueness
+        node_by_id = self.graph._nodes
+        node_labels = next_pattern.labels
+        node_properties = next_pattern.properties
+        for rel, far in pairs:
+            if bound_id is not None and rel.id != bound_id:
+                continue
+            if types and rel.type not in types:
+                continue
+            if properties is not None and not self._properties_match(
+                properties, rel, bindings
+            ):
+                continue
+            if unique and rel.id in used_rels:
+                continue
+            target = node_by_id[far]
+            if node_variable and node_variable in bindings:
+                bound = bindings[node_variable]
+                if not isinstance(bound, Node) or bound.id != target.id:
                     continue
-                yield rel, rel.start
+            if node_labels and not target.labels.issuperset(node_labels):
+                continue
+            if node_properties is not None and not self._properties_match(
+                node_properties, target, bindings
+            ):
+                continue
+            if rel_variable:
+                previous_rel = bindings.get(rel_variable, _UNBOUND)
+                bindings[rel_variable] = rel
+            if node_variable:
+                previous_node = bindings.get(node_variable, _UNBOUND)
+                bindings[node_variable] = target
+            if unique:
+                used_rels.add(rel.id)
+            if chain_nodes is not None:
+                chain_nodes.append(target)
+                chain_rels.append(rel)
+            stop = self._extend(
+                patterns, index, pattern, rel_index + 1, target, bindings,
+                used_rels, chain_nodes, chain_rels, visit,
+            )
+            if chain_nodes is not None:
+                chain_nodes.pop()
+                chain_rels.pop()
+            if unique:
+                used_rels.discard(rel.id)
+            if node_variable:
+                _restore(bindings, node_variable, previous_node)
+            if rel_variable:
+                _restore(bindings, rel_variable, previous_rel)
+            if stop:
+                return True
+        return False
 
-    def _rel_matches(
-        self,
-        rel_pattern: ast.RelationshipPattern,
-        rel: Relationship,
-        bindings: Dict[str, Any],
-    ) -> bool:
-        if rel_pattern.types and rel.type not in rel_pattern.types:
-            return False
-        if rel_pattern.properties is not None:
-            if not self._properties_match(rel_pattern.properties, rel, bindings):
-                return False
-        return True
+    # -- element checks -------------------------------------------------
 
     def _properties_match(
         self, props: ast.MapLiteral, element, bindings: Dict[str, Any]
@@ -245,3 +265,15 @@ class Matcher:
             if V.ternary_equals(actual, expected) is not True:
                 return False
         return True
+
+
+def _stop(bindings: Dict[str, Any]) -> bool:
+    return True
+
+
+def _restore(bindings: Dict[str, Any], variable: str, previous: Any) -> None:
+    """Undo one search step's binding of *variable*."""
+    if previous is _UNBOUND:
+        del bindings[variable]
+    else:
+        bindings[variable] = previous

@@ -689,10 +689,7 @@ def _c_pattern_predicate(expr: ast.PatternPredicate) -> CompiledExpr:
         for name in names:
             if name in env and env[name] is None:
                 return False
-        matcher = Matcher(ctx.graph)
-        for _match in matcher.match((pattern,), env):
-            return True
-        return False
+        return Matcher(ctx.graph).exists((pattern,), env)
 
     return run
 

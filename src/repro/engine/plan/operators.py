@@ -262,11 +262,10 @@ def _rel_ok(
 class MatchOp:
     """Fused scan → expand → filter for one MATCH clause.
 
-    Unlike the matcher's generator pipeline (which copies the bindings dict
-    at every chain extension), this operator mutates a single environment
-    dict in place and undoes each binding on backtrack — the dominant
-    constant-factor win of compiled execution.  Enumeration order is
-    bit-for-bit the matcher's.
+    Like the reference matcher, this operator mutates a single environment
+    dict in place and undoes each binding on backtrack; unlike it, the
+    scan, expand and filter steps are specialised per clause at plan
+    time.  Enumeration order is bit-for-bit the matcher's.
     """
 
     label = "match"

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.cypher import ast
 from repro.cypher.parser import parse_query
-from repro.cypher.printer import print_query
 from repro.engine.binding import ResultSet
 from repro.engine.envelope import ENVELOPE, evaluation_budget, parked_envelope
 from repro.engine.errors import (
@@ -269,19 +268,18 @@ class GraphDatabase:
 
     # -- query execution ----------------------------------------------------
 
-    def execute(
-        self, query: AnyQuery, text: Optional[str] = None
-    ) -> ResultSet:
-        """Execute *query*; raises CypherError subclasses on failure.
+    def execute(self, query: AnyQuery) -> ResultSet:
+        """Execute *query* (a tree or its text); raises CypherError
+        subclasses on failure.
 
-        A caller that already printed the tree passes its ``print_query``
-        text as *text*, so the query is printed once.
+        A tree is keyed by its ``text``, printed once per tree however
+        many engines run it.
         """
         if not PROBE.on:
-            return self._execute_guarded(query, text)
+            return self._execute_guarded(query)
         start = perf_counter()
         try:
-            return self._execute_guarded(query, text)
+            return self._execute_guarded(query)
         finally:
             metrics = PROBE.metrics
             metrics.counter("engine.queries", engine=self.name).inc()
@@ -325,9 +323,7 @@ class GraphDatabase:
                     # histogram (excluded from deterministic views).
                     self._op_profile.flush(metrics)
 
-    def _execute_guarded(
-        self, query: AnyQuery, text: Optional[str]
-    ) -> ResultSet:
+    def _execute_guarded(self, query: AnyQuery) -> ResultSet:
         # Recursion guard of the evaluation resource envelope: a synthesized
         # AST deep enough to exhaust the interpreter stack is a harness
         # condition, not engine behavior — surface it as the typed budget
@@ -335,13 +331,13 @@ class GraphDatabase:
         # false bug.  (Raising *after* the stack unwinds is safe: Python
         # leaves headroom inside the except block.)
         try:
-            return self._execute(query, text)
+            return self._execute(query)
         except RecursionError as exc:
             raise EvaluationBudgetExceeded(
                 f"recursion limit exhausted during evaluation: {exc}"
             ) from exc
 
-    def _execute(self, query: AnyQuery, text: Optional[str]) -> ResultSet:
+    def _execute(self, query: AnyQuery) -> ResultSet:
         if self._executor is None or self.graph is None:
             raise CypherRuntimeError("no graph loaded")
         if self.crashed:
@@ -355,8 +351,7 @@ class GraphDatabase:
             tree = entry[0] if entry is not None else parse_query(text)
         else:
             tree = query
-            if text is None:
-                text = print_query(query)
+            text = query.text
             entry = self._query_cache.get(text)
 
         self.queries_since_restart += 1
@@ -367,7 +362,7 @@ class GraphDatabase:
         if entry is not None:
             features = entry[1]
         else:
-            features = extract_features(tree, text)
+            features = extract_features(tree)
             self._query_cache[text] = (tree, features)
             while len(self._query_cache) > 1024:
                 self._query_cache.popitem(last=False)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, List, Union
 
 from repro.cypher import ast
@@ -76,7 +77,6 @@ class QueryFeatures:
     replace_with_empty: bool = False
     conversion_functions: int = 0     # toInteger/toFloat/... calls
     aggregate_count: int = 0
-    query_hash: int = 0
     # Write-clause features (state-aware workloads, repro.synth.state).
     create_count: int = 0
     merge_count: int = 0
@@ -92,8 +92,13 @@ class QueryFeatures:
         Fault gates key on this rather than the raw text hash so that a
         metamorphic rewrite flips a gate verdict only when it genuinely
         changes the query's structure — which is what makes the §5.4.3
-        oracle-replay comparison meaningful.
+        oracle-replay comparison meaningful.  Every gated fault and the
+        fired effect read it, so it is computed once per extraction.
         """
+        return self._signature_hash
+
+    @cached_property
+    def _signature_hash(self) -> int:
         signature = (
             self.metrics.patterns,
             self.metrics.expression_depth,
@@ -170,7 +175,7 @@ def _flatten(query: AnyQuery) -> List[ast.Query]:
     return [query]
 
 
-def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
+def extract_features(query: AnyQuery) -> QueryFeatures:
     """Compute the trigger-relevant features of *query*."""
     facts = query.facts
     funcs = facts.functions
@@ -179,7 +184,6 @@ def extract_features(query: AnyQuery, query_text: str) -> QueryFeatures:
         clause_names=list(facts.clause_names),
         functions=list(funcs),
         has_union=isinstance(query, ast.UnionQuery),
-        query_hash=stable_hash(query_text),
         **facts.counts,
     )
 
@@ -388,6 +392,11 @@ class Fault:
         """Whether this fault corrupts post-write graph state, not results."""
         return self.category == "state"
 
+    @cached_property
+    def _id_hash(self) -> int:
+        """The fault id's gate salt, hashed once per fault."""
+        return stable_hash(self.fault_id)
+
     def triggers(
         self,
         features: QueryFeatures,
@@ -408,7 +417,7 @@ class Fault:
         if effective_gate > 1:
             # The gate hash mixes in the fault id so different faults gate
             # independent subsets of the matching queries.
-            mixed = features.signature_hash() ^ stable_hash(self.fault_id)
+            mixed = features.signature_hash() ^ self._id_hash
             if mixed % effective_gate != 0:
                 return False
         return True

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Optional
 
+from repro.graph.model import Node, Path, Relationship
+
 __all__ = [
     "CypherTypeError",
     "is_null",
@@ -58,9 +60,6 @@ def is_null(value: Any) -> bool:
 
 def type_name(value: Any) -> str:
     """Return the Cypher type name of *value* (as reported by ``type()``... )."""
-    # Import here to avoid a circular import with repro.graph.model.
-    from repro.graph.model import Node, Relationship, Path
-
     if value is None:
         return "NULL"
     if isinstance(value, bool):
@@ -143,8 +142,6 @@ def ternary_equals(left: Any, right: Any) -> Optional[bool]:
             if verdict is None:
                 saw_null = True
         return None if saw_null else True
-
-    from repro.graph.model import Node, Relationship, Path
 
     if isinstance(left, Node) and isinstance(right, Node):
         return left.id == right.id
@@ -260,8 +257,6 @@ def equivalent(left: Any, right: Any) -> bool:
 def equivalence_key(value: Any):
     """Return a hashable key such that two values share a key iff they are
     equivalent in the DISTINCT sense."""
-    from repro.graph.model import Node, Relationship, Path
-
     if value is None:
         return ("null",)
     if isinstance(value, bool):
@@ -354,8 +349,6 @@ def order_key(value: Any) -> _OrderKey:
     nulls last; ``reverse=True`` yields descending order with nulls first,
     matching Neo4j's behaviour.
     """
-    from repro.graph.model import Node, Relationship, Path
-
     if value is None:
         return _OrderKey(_TYPE_RANK["NULL"], ())
     if isinstance(value, bool):

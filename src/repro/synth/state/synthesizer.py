@@ -28,7 +28,6 @@ from repro.core.synthesizer import (
     SynthesizerConfig,
 )
 from repro.cypher import ast
-from repro.cypher.printer import print_query
 from repro.synth.state.model import StateModel
 from repro.synth.state.statements import build_statement, valid_kinds
 
@@ -46,7 +45,6 @@ class StatementProposal:
     """
 
     query: Union[ast.Query, ast.UnionQuery]
-    text: str
     kind: str                       # "write" | "read"
     statement_kind: str             # "create" | ... | "read"
     expected: Any = None            # ResultSet for reads, None for writes
@@ -57,6 +55,10 @@ class StatementProposal:
     @property
     def is_write(self) -> bool:
         return self.kind == "write"
+
+    @property
+    def text(self) -> str:
+        return self.query.text
 
 
 class StatefulSynthesizer:
@@ -119,7 +121,6 @@ class StatefulSynthesizer:
             tree = build_statement("create", self.model, self.rng)
         return StatementProposal(
             query=tree,
-            text=print_query(tree),
             kind="write",
             statement_kind=kind,
             n_steps=len(tree.clauses),
@@ -139,7 +140,6 @@ class StatefulSynthesizer:
         synthesis: SynthesisResult = synthesizer.synthesize(ground_truth)
         return StatementProposal(
             query=synthesis.query,
-            text=print_query(synthesis.query),
             kind="read",
             statement_kind="read",
             expected=synthesis.expected,

@@ -104,7 +104,7 @@ class StatefulGQSTester(GQSTester):
 
         report: Optional[BugReport] = None
         try:
-            actual = engine.execute(synthesis.query, text=query_text)
+            actual = engine.execute(synthesis.query)
         except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
             # Engine state after an aborted statement is unknowable; end
             # the round so the shadow never drifts silently.

@@ -19,7 +19,6 @@ import pytest
 import repro.core.runner as runner
 from repro.core.runner import GQSTester
 from repro.core.synthesizer import QuerySynthesizer, SynthesizerConfig
-from repro.cypher.printer import print_query
 from repro.gdb import EngineOptions, create_engine
 from repro.gdb.faults import extract_features
 from repro.graph import GraphGenerator
@@ -85,8 +84,7 @@ def _average(attribute, synthesizer=None, builder=None):
             graph, rng=random.Random(seed),
             config=SynthesizerConfig(**(synthesizer or {})),
         ).synthesize()
-        total += getattr(extract_features(result.query, print_query(result.query)),
-                         attribute)
+        total += getattr(extract_features(result.query), attribute)
     return total / SYNTHESES
 
 

@@ -11,7 +11,7 @@ from repro.gdb.faults import FaultEffect, extract_features
 
 def features_of(text):
     query = parse_query(text)
-    return extract_features(query, text)
+    return extract_features(query)
 
 
 class TestFeatureExtraction:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cypher import ast
+from repro.cypher.parser import parse_query
+from repro.engine import ENVELOPE, Executor, evaluation_budget
+from repro.engine.errors import CypherRuntimeError
 from repro.engine.matcher import Matcher
 from repro.graph.model import PropertyGraph
 
@@ -38,25 +41,25 @@ def path(*parts):
 class TestSingleChain:
     def test_single_node(self, diamond):
         matcher = Matcher(diamond)
-        matches = list(matcher.match((path(node_pattern("n")),), {}))
+        matches = matcher.collect((path(node_pattern("n")),), {})
         assert len(matches) == 4
 
     def test_label_constraint(self, diamond):
         matcher = Matcher(diamond)
-        matches = list(matcher.match((path(node_pattern("n", "N2")),), {}))
+        matches = matcher.collect((path(node_pattern("n", "N2")),), {})
         assert len(matches) == 1
         assert matches[0]["n"].id == 2
 
     def test_directed_hop(self, diamond):
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         assert len(matches) == 5  # 4 edges + self loop
 
     def test_incoming_direction(self, diamond):
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r", ast.IN), node_pattern("b"))
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         # Same five edges, viewed from the other side.
         assert len(matches) == 5
         assert all(m["r"].end == m["a"].id for m in matches)
@@ -64,14 +67,14 @@ class TestSingleChain:
     def test_undirected_hop(self, diamond):
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r", ast.BOTH), node_pattern("b"))
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         # Each non-loop edge matched twice (once per orientation) + loop once.
         assert len(matches) == 9
 
     def test_type_constraint(self, diamond):
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r", ast.OUT, "A"), node_pattern("b"))
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         assert {m["r"].id for m in matches} == {0, 1}
 
     def test_two_hop_paths(self, diamond):
@@ -80,7 +83,7 @@ class TestSingleChain:
             node_pattern("a"), rel("r1"), node_pattern("b"), rel("r2"),
             node_pattern("c"),
         )
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         # 0->1->3, 0->2->3, 1->3->3(loop), 2->3->3(loop).
         assert len(matches) == 4
 
@@ -92,21 +95,21 @@ class TestRelationshipUniqueness:
             node_pattern("a"), rel("r1", ast.BOTH), node_pattern("b"),
             rel("r2", ast.BOTH), node_pattern("c"),
         )
-        for match in matcher.match((pattern,), {}):
+        for match in matcher.collect((pattern,), {}):
             assert match["r1"].id != match["r2"].id
 
     def test_uniqueness_across_comma_patterns(self, diamond):
         matcher = Matcher(diamond)
         p1 = path(node_pattern("a"), rel("r1", ast.OUT, "A"), node_pattern("b"))
         p2 = path(node_pattern("c"), rel("r2", ast.OUT, "A"), node_pattern("d"))
-        for match in matcher.match((p1, p2), {}):
+        for match in matcher.collect((p1, p2), {}):
             assert match["r1"].id != match["r2"].id
 
     def test_uniqueness_disabled(self, diamond):
         loose = Matcher(diamond, enforce_rel_uniqueness=False)
         p1 = path(node_pattern("a"), rel("r1", ast.OUT, "A"), node_pattern("b"))
         p2 = path(node_pattern("c"), rel("r2", ast.OUT, "A"), node_pattern("d"))
-        matches = list(loose.match((p1, p2), {}))
+        matches = loose.collect((p1, p2), {})
         assert any(m["r1"].id == m["r2"].id for m in matches)
 
 
@@ -115,7 +118,7 @@ class TestBoundVariables:
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
         row = {"a": diamond.node(0)}
-        matches = list(matcher.match((pattern,), row))
+        matches = matcher.collect((pattern,), row)
         assert len(matches) == 2
         assert all(m["a"].id == 0 for m in matches)
 
@@ -123,20 +126,20 @@ class TestBoundVariables:
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
         row = {"r": diamond.relationship(2)}
-        matches = list(matcher.match((pattern,), row))
+        matches = matcher.collect((pattern,), row)
         assert len(matches) == 1
         assert matches[0]["a"].id == 1
 
     def test_null_bound_variable_never_matches(self, diamond):
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
-        assert list(matcher.match((pattern,), {"a": None})) == []
+        assert matcher.collect((pattern,), {"a": None}) == []
 
     def test_shared_variable_joins_patterns(self, diamond):
         matcher = Matcher(diamond)
         p1 = path(node_pattern("a"), rel("r1", ast.OUT, "A"), node_pattern("m"))
         p2 = path(node_pattern("m"), rel("r2", ast.OUT, "B"), node_pattern("b"))
-        matches = list(matcher.match((p1, p2), {}))
+        matches = matcher.collect((p1, p2), {})
         assert len(matches) == 2  # through node 1 and node 2
         for match in matches:
             assert match["r1"].end == match["m"].id
@@ -148,7 +151,7 @@ class TestBoundVariables:
         pattern = ast.PathPattern(
             (node_pattern("n"), node_pattern("n")), (rel("r"),)
         )
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         assert len(matches) == 1
         assert matches[0]["n"].id == 3
 
@@ -158,7 +161,7 @@ class TestPropertyMaps:
         matcher = Matcher(diamond)
         props = ast.MapLiteral((("id", ast.Literal(2)),))
         pattern = path(ast.NodePattern("n", (), props))
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         assert len(matches) == 1
         assert matches[0]["n"].id == 2
 
@@ -166,7 +169,7 @@ class TestPropertyMaps:
         matcher = Matcher(diamond)
         props = ast.MapLiteral((("id", ast.Literal(99)),))
         pattern = path(ast.NodePattern("n", (), props))
-        assert list(matcher.match((pattern,), {})) == []
+        assert matcher.collect((pattern,), {}) == []
 
     def test_rel_property_filter(self, diamond):
         matcher = Matcher(diamond)
@@ -175,7 +178,7 @@ class TestPropertyMaps:
             (node_pattern("a"), node_pattern("b")),
             (ast.RelationshipPattern("r", (), ast.OUT, props),),
         )
-        matches = list(matcher.match((pattern,), {}))
+        matches = matcher.collect((pattern,), {})
         assert len(matches) == 1
         assert matches[0]["r"].id == 3
 
@@ -185,7 +188,64 @@ class TestDeterminism:
         matcher = Matcher(diamond)
         pattern = path(node_pattern("a"), rel("r", ast.BOTH), node_pattern("b"))
         first = [(m["a"].id, m["r"].id, m["b"].id)
-                 for m in matcher.match((pattern,), {})]
+                 for m in matcher.collect((pattern,), {})]
         second = [(m["a"].id, m["r"].id, m["b"].id)
-                  for m in matcher.match((pattern,), {})]
+                  for m in matcher.collect((pattern,), {})]
         assert first == second
+
+
+class TestInterleaving:
+    """Each match is handed on before the next one is searched for."""
+
+    @pytest.fixture
+    def divisors(self):
+        graph = PropertyGraph()
+        for value in (1, 1, 0, 1, 1):
+            graph.add_node(["N"], {"v": value})
+        return graph
+
+    def test_where_error_mid_enumeration_stops_the_match(self, divisors):
+        query = parse_query("MATCH (n:N) WHERE 10 / n.v > 0 RETURN n.v")
+        with evaluation_budget(10 ** 6):
+            with pytest.raises(CypherRuntimeError, match="by zero"):
+                Executor(divisors).execute(query)
+            steps = ENVELOPE.steps
+        # Three matcher extensions, two whole WHERE evaluations of six
+        # steps, and five steps into the third one before `10 / 0` raises.
+        # A matcher that enumerated all five nodes first would read 22.
+        assert steps == 3 + 2 * 6 + 5
+
+    def test_visitor_error_propagates_and_ends_the_search(self, diamond):
+        pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
+        seen = []
+
+        def visit(bindings):
+            seen.append(bindings["r"].id)
+            if len(seen) == 2:
+                raise CypherRuntimeError("stop here")
+            return False
+
+        with evaluation_budget(10 ** 6):
+            with pytest.raises(CypherRuntimeError, match="stop here"):
+                Matcher(diamond).match((pattern,), {}, visit)
+            steps = ENVELOPE.steps
+        assert seen == [0, 1]
+        # Node 0's chain start and its two hops: nothing past the raise.
+        assert steps == 3
+
+    def test_visitor_returning_true_stops_and_bindings_are_restored(self, diamond):
+        pattern = path(node_pattern("a"), rel("r"), node_pattern("b"))
+        row = {"x": 1}
+        live = []
+
+        def visit(bindings):
+            live.append(bindings)
+            return len(live) == 3
+
+        assert Matcher(diamond).match((pattern,), row, visit) is True
+        assert len(live) == 3
+        # One dict is extended in place and unwound after each match.
+        assert live[0] is live[2] and live[0] == {"x": 1}
+        assert row == {"x": 1}
+        assert Matcher(diamond).exists((pattern,), {})
+        assert not Matcher(diamond).exists((path(node_pattern("n", "Z")),), {})

@@ -73,12 +73,8 @@ def test_matches_satisfy_all_constraints(seed):
     graph = GraphGenerator(seed=seed).generate()
     patterns = random_patterns(graph, rng)
     matcher = Matcher(graph)
-    count = 0
-    for match in matcher.match(patterns, {}):
+    for match in matcher.collect(patterns, {}, 201):
         check_assignment(graph, patterns, match, enforce_uniqueness=True)
-        count += 1
-        if count > 200:
-            break
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -94,14 +90,12 @@ def test_loose_matching_is_superset(seed):
         # the first N loose matches need not contain all of the first N
         # strict matches (loose interleaves extra assignments), so the
         # loose side gets a much larger budget below.
-        out = set()
-        for index, match in enumerate(matcher.match(patterns, {})):
-            out.add(tuple(sorted(
+        return {
+            tuple(sorted(
                 (name, type(v).__name__, v.id) for name, v in match.items()
-            )))
-            if index >= limit:
-                break
-        return out
+            ))
+            for match in matcher.collect(patterns, {}, limit + 1)
+        }
 
     strict = keys(Matcher(graph, enforce_rel_uniqueness=True), 300)
     loose = keys(Matcher(graph, enforce_rel_uniqueness=False), 20000)
@@ -116,12 +110,12 @@ def test_bound_row_restricts_matches(seed):
     graph = GraphGenerator(seed=seed).generate()
     patterns = random_patterns(graph, rng, n_patterns=1, max_hops=1)
     matcher = Matcher(graph)
-    all_matches = list(matcher.match(patterns, {}))
+    all_matches = matcher.collect(patterns, {})
     if not all_matches:
         return
     target = all_matches[0]
     first_var = next(iter(target))
-    bound = list(matcher.match(patterns, {first_var: target[first_var]}))
+    bound = matcher.collect(patterns, {first_var: target[first_var]})
     assert bound  # the witnessing match survives
     for match in bound:
         assert match[first_var].id == target[first_var].id

@@ -1,6 +1,5 @@
 """Tests for pattern construction and mutation (§3.4)."""
 
-import itertools
 import random
 
 import pytest
@@ -77,9 +76,7 @@ class TestBuildMatch:
         matcher = Matcher(graph)
         evaluator = Evaluator(graph)
         matches = []
-        for bindings in itertools.islice(
-            matcher.match(result.patterns, {}), 500
-        ):
+        for bindings in matcher.collect(result.patterns, {}, 500):
             if result.where is not None:
                 if evaluator.evaluate_predicate(result.where, bindings) is not True:
                     continue
@@ -227,9 +224,7 @@ class _ReferencePinBuilder(PatternBuilder):
         pin_count = 0
 
         while True:
-            matches = list(
-                itertools.islice(self._matcher.match(patterns, row), match_budget)
-            )
+            matches = self._matcher.collect(patterns, row, match_budget)
             ambiguous = self._ambiguous_variable(matches, bindings, pinned)
             if ambiguous is None:
                 break
@@ -263,13 +258,13 @@ def _two_clusters(seed):
 
 def _counted_matcher(builder):
     rounds = []
-    match = builder._matcher.match
+    collect = builder._matcher.collect
 
-    def counting(patterns, row):
+    def counting(patterns, row, limit=None):
         rounds.append(dict(row))
-        return match(patterns, row)
+        return collect(patterns, row, limit)
 
-    builder._matcher.match = counting
+    builder._matcher.collect = counting
     return rounds
 
 

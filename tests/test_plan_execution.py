@@ -231,7 +231,7 @@ class TestPlanCacheKeying:
         for text in texts:
             engine.execute(parse_query(text))
         tree = parse_query(texts[0])
-        engine.execute(tree, text=print_query(tree))
+        engine.execute(tree)
         assert (cache.compiles, cache.misses, cache.hits) == (4, 4, 5)
 
     def test_texts_differing_in_a_constant_compile_twice(self):

@@ -370,7 +370,7 @@ class TestQueryFactsEquivalence:
     def test_predicate_counters_match_the_predicate_scan(self, population):
         for query in population + [parse_query(t) for t in SCAN_POSITIONS]:
             text = print_query(query)
-            features = extract_features(query, text)
+            features = extract_features(query)
             folded = {name: getattr(features, name) for name in SCANNED_FIELDS}
             assert folded == reference_scanned_features(query), text
 

@@ -105,7 +105,7 @@ class TestResourceEnvelope:
     def test_recursion_error_surfaces_as_budget_error(self, monkeypatch):
         engine = create_engine(ENGINE)
 
-        def blow_stack(query, text):
+        def blow_stack(query):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr(engine, "_execute", blow_stack)

@@ -59,7 +59,7 @@ class TestFunctionCoverage:
     def test_aggregates_appear(self, corpus):
         found_aggregate = False
         for query in corpus:
-            features = extract_features(query, print_query(query))
+            features = extract_features(query)
             if features.aggregate_count:
                 found_aggregate = True
                 break
@@ -71,7 +71,7 @@ class TestOperatorCoverage:
         string_preds = modulo = division = comprehension = 0
         for query in corpus:
             text = print_query(query)
-            features = extract_features(query, text)
+            features = extract_features(query)
             string_preds += features.string_predicates
             modulo += features.modulo_ops
             division += features.division_ops
@@ -83,7 +83,7 @@ class TestOperatorCoverage:
     def test_undirected_and_multilabel_patterns(self, corpus):
         undirected = multilabel = 0
         for query in corpus:
-            features = extract_features(query, print_query(query))
+            features = extract_features(query)
             undirected += features.undirected_rels
             multilabel += features.multi_label_nodes
         assert undirected > 0
@@ -96,7 +96,7 @@ class TestOperatorCoverage:
             schema, graph = GraphGenerator(seed=seed).generate_with_schema()
             synthesizer = QuerySynthesizer(graph, rng=random.Random(seed))
             result = synthesizer.synthesize()
-            features = extract_features(result.query, print_query(result.query))
+            features = extract_features(result.query)
             if features.replace_with_empty:
                 found = True
                 break
