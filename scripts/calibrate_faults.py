@@ -25,7 +25,6 @@ from repro.baselines import (
 from repro.baselines.common import RandomQueryGenerator
 from repro.core import QuerySynthesizer
 from repro.core.runner import synthesizer_config_for
-from repro.cypher.printer import print_query
 from repro.gdb import create_engine, faults_for
 from repro.gdb.faults import extract_features
 from repro.graph import GraphGenerator
@@ -39,7 +38,7 @@ def feature_pool_for_gqs(target: str, n: int):
         schema, graph = GraphGenerator(seed=seed).generate_with_schema()
         synthesizer = QuerySynthesizer(graph, rng=random.Random(seed), config=config)
         result = synthesizer.synthesize()
-        pool.append(extract_features(result.query, print_query(result.query)))
+        pool.append(extract_features(result.query))
     return pool
 
 
@@ -49,7 +48,7 @@ def feature_pool_for_baseline(tester, n: int):
         schema, graph = GraphGenerator(seed=seed).generate_with_schema()
         generator = RandomQueryGenerator(graph, random.Random(seed), tester.profile)
         query = generator.generate()
-        pool.append(extract_features(query, print_query(query)))
+        pool.append(extract_features(query))
     return pool
 
 

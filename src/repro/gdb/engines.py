@@ -389,7 +389,7 @@ class GraphDatabase:
             self.last_fault_session_queries = self.queries_since_restart
             if fired.category == "crash":
                 self.crashed = True
-            fired.effect(ResultSet([], []), features.signature_hash())
+            fired.effect(ResultSet([], []), features.signature_hash)
 
         # State faults corrupt the graph relative to its pre-write state,
         # so the snapshot must be taken before the write executes.
@@ -413,10 +413,10 @@ class GraphDatabase:
                 # The answer is correct; the *database state* is not
                 # (repro.gdb.state_effects).
                 fired.state_effect(
-                    self.graph, state_before, tree, features.signature_hash()
+                    self.graph, state_before, tree, features.signature_hash
                 )
                 return correct
-            return fired.effect(correct, features.signature_hash())
+            return fired.effect(correct, features.signature_hash)
         return correct
 
     # -- execution modes ---------------------------------------------------

@@ -86,6 +86,7 @@ class QueryFeatures:
     remove_count: int = 0             # REMOVE property items
     remove_label_count: int = 0       # REMOVE label items
 
+    @cached_property
     def signature_hash(self) -> int:
         """A hash over structural features (stable under textual noise).
 
@@ -93,12 +94,10 @@ class QueryFeatures:
         metamorphic rewrite flips a gate verdict only when it genuinely
         changes the query's structure — which is what makes the §5.4.3
         oracle-replay comparison meaningful.  Every gated fault and the
-        fired effect read it, so it is computed once per extraction.
+        fired effect read it, so it is computed on first read and kept:
+        the fields are final once :func:`extract_features` returns, and
+        must not be changed after that.
         """
-        return self._signature_hash
-
-    @cached_property
-    def _signature_hash(self) -> int:
         signature = (
             self.metrics.patterns,
             self.metrics.expression_depth,
@@ -417,7 +416,7 @@ class Fault:
         if effective_gate > 1:
             # The gate hash mixes in the fault id so different faults gate
             # independent subsets of the matching queries.
-            mixed = features.signature_hash() ^ self._id_hash
+            mixed = features.signature_hash ^ self._id_hash
             if mixed % effective_gate != 0:
                 return False
         return True

@@ -80,14 +80,14 @@ class TestFeatureExtraction:
         f1 = features_of("MATCH (n) WHERE n.x = 1 RETURN n.y AS out")
         f2 = features_of("MATCH (m) WHERE m.x = 1 RETURN m.y AS out")
         # Same structure, different variable names: same signature.
-        assert f1.signature_hash() == f2.signature_hash()
+        assert f1.signature_hash == f2.signature_hash
 
     def test_signature_hash_sensitive_to_structure(self):
         f1 = features_of("MATCH (n) RETURN n")
         f2 = features_of("MATCH (n) MATCH (m) RETURN n")
         f3 = features_of("MATCH (n) WHERE n.x = 1 RETURN n")
-        assert f1.signature_hash() != f2.signature_hash()
-        assert f1.signature_hash() != f3.signature_hash()
+        assert f1.signature_hash != f2.signature_hash
+        assert f1.signature_hash != f3.signature_hash
 
 
 class TestCatalog:

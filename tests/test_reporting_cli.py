@@ -85,6 +85,15 @@ class TestCLI:
         assert "expected result set" in out
         assert "RETURN" in out
 
+    def test_calibrate_command(self, capsys):
+        """The calibration script extracts features from every generator."""
+        from repro.gdb.catalog import all_faults
+
+        assert main(["calibrate", "--n", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "GQS@falkordb" in lines[0] and "GDsmith" in lines[0]
+        assert len(lines) == 2 + len(all_faults())
+
     def test_campaign_command_with_export(self, tmp_path, capsys):
         out_file = tmp_path / "result.json"
         code = main([
