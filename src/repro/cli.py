@@ -107,14 +107,6 @@ def _add_cell_arguments(parser: argparse.ArgumentParser,
              "(both, raising on any divergence)",
     )
     parser.add_argument(
-        "--adaptive", nargs="?", const="epsilon", default=None,
-        choices=["epsilon", "ucb"], metavar="STRATEGY",
-        help="coverage-guided adaptive synthesis: feed feature-tag and "
-             "signature-novelty feedback into the synthesizer via an "
-             "explore/exploit schedule (epsilon-decay greedy by default, "
-             "or UCB1); deterministic given the cell seed",
-    )
-    parser.add_argument(
         "--stateful", nargs="?", const=0.5, default=None, type=float,
         metavar="RATIO",
         help="state-aware write-workload synthesis (GQS only): interleave "
@@ -134,7 +126,6 @@ def _cell_config(args):
             "budget_seconds": args.minutes * 60.0,
             "gate_scale": args.gate_scale,
             "execution_mode": args.engine_mode,
-            "adaptive": args.adaptive,
             "stateful": args.stateful,
             "step_budget": args.step_budget,
             "record_metrics": args.metrics,

@@ -190,14 +190,16 @@ def completed_cells_from_events(
 ) -> Dict[Tuple[str, str, int], CampaignResult]:
     """Recover checkpointed grid cells from an event stream.
 
-    Returns ``{(tester, engine, seed): CampaignResult}`` for every
-    ``cell_complete`` event (the last occurrence wins, so a log holding
-    several partial runs resumes from the freshest checkpoint).
+    Returns ``{(tester, engine, seed): CampaignResult}`` for every cell the
+    scheduler's journal replay
+    (:func:`repro.service.scheduler.replay_service_journal`) finds
+    checkpointed.  The last ``cell_complete`` of a cell wins, so a log
+    holding several partial runs resumes from the freshest checkpoint; a
+    sealed record whose digest fails raises
+    :class:`~repro.service.scheduler.JournalError` with its position.
     """
-    done: Dict[Tuple[str, str, int], CampaignResult] = {}
-    for event in events:
-        if event.get("event") != "cell_complete":
-            continue
-        key = (event["tester"], event["engine"], event["seed"])
-        done[key] = campaign_from_dict(event["campaign"])
-    return done
+    from repro.service.scheduler import replay_service_journal
+
+    cells = replay_service_journal(events)["cells"]
+    return {key: campaign_from_dict(event["campaign"])
+            for key, event in cells.items()}

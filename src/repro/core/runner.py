@@ -58,12 +58,10 @@ class GQSTester(TesterProtocol):
         ground_truths_per_graph: int = 3,
     ):
         self.generator_config = generator_config or GeneratorConfig()
-        self._base_generator_config = self.generator_config
         self.synthesizer_overrides = synthesizer_overrides or {}
         self.queries_per_ground_truth = queries_per_ground_truth
         self.ground_truths_per_graph = ground_truths_per_graph
         self._synthesizer_config: Optional[SynthesizerConfig] = None
-        self._weights = None
 
     # -- TesterProtocol ---------------------------------------------------
 
@@ -72,26 +70,12 @@ class GQSTester(TesterProtocol):
             engine, **self.synthesizer_overrides
         )
 
-    def apply_weights(self, weights) -> None:
-        """Adopt a policy-issued weight profile for the next graph round.
-
-        Graph-shape bumps rewrite ``generator_config`` from the declared
-        base (profiles replace, never stack); synthesizer knobs are applied
-        per-round inside :meth:`proposals` so the dialect-aware base config
-        from :meth:`campaign_begin` stays pristine.
-        """
-        self._weights = weights
-        self.generator_config = weights.apply_generator(
-            self._base_generator_config
-        )
-
     def proposals(
         self, engine: GraphDatabase, graph, schema, rng: random.Random
     ) -> Iterator[Any]:
         """Step 2 + 3: ground truths over this graph, then queries for each."""
         synthesizer = QuerySynthesizer(
-            graph, rng=rng, config=self._synthesizer_config,
-            weights=self._weights,
+            graph, rng=rng, config=self._synthesizer_config
         )
         for _gt in range(rng.randint(1, self.ground_truths_per_graph)):
             ground_truth = select_ground_truth(

@@ -74,8 +74,7 @@ class SynthesizerConfig:
     needs_uniqueness_predicates: bool = False
     # Write-statement mix for stateful sessions (repro.synth.state); the
     # weights are relative and renormalized over the kinds that are valid
-    # against the current shadow state.  Adaptive arms scale them like any
-    # other probability knob.
+    # against the current shadow state.
     stateful_create_weight: float = 0.35
     stateful_merge_weight: float = 0.2
     stateful_set_weight: float = 0.2
@@ -141,17 +140,10 @@ class QuerySynthesizer:
         graph: PropertyGraph,
         rng: Optional[random.Random] = None,
         config: Optional[SynthesizerConfig] = None,
-        weights=None,
     ):
         self.graph = graph
         self.rng = rng or random.Random()
         self.config = config or SynthesizerConfig()
-        if weights is not None:
-            # A policy-issued WeightProfile (repro.runtime.adapt) rewrites
-            # a *copy* of the config, so the caller's config object — often
-            # shared across graph rounds — is never mutated.
-            self.config = weights.apply_synthesizer(self.config)
-        self.weights = weights
         self.expressions = ExpressionFactory(graph, self.rng)
         self.evaluator = Evaluator(graph)
         self.builder = PatternBuilder(

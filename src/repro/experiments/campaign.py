@@ -160,10 +160,9 @@ def run_cell(
 ) -> CampaignResult:
     """Run one campaign cell through the shared campaign kernel.
 
-    Builds the target engine, the tester, the adaptive policy
-    (``config.adaptive``), the flight recorder (one repro bundle per new
-    bug signature into *bundle_dir*, minimized in place with
-    *reduce_bundles*) and the kernel.  With ``config.record_metrics`` the
+    Builds the target engine, the tester, the flight recorder (one repro
+    bundle per new bug signature into *bundle_dir*, minimized in place
+    with *reduce_bundles*) and the kernel.  With ``config.record_metrics`` the
     kernel runs under a fresh observability scope.  Inline campaigns and
     grid workers (:func:`repro.runtime.parallel._run_cell`) both run
     cells through here; none of the observability options perturbs the
@@ -177,10 +176,6 @@ def run_cell(
     tester = make_tester(cell.tester, cell.engine,
                          gate_scale=config.gate_scale,
                          stateful=config.stateful)
-    if config.adaptive:
-        from repro.runtime.adapt import attach_adaptive_policy
-
-        attach_adaptive_policy(tester, config.adaptive)
     recorder = None
     if bundle_dir is not None:
         from repro.obs import FlightRecorder
@@ -219,7 +214,7 @@ def run_tool_campaign(
 
     The cell options come as *config* or as :class:`CellConfig` keyword
     names (``budget_seconds``, ``gate_scale``, ``execution_mode``,
-    ``adaptive``, ``stateful``, ...).
+    ``stateful``, ...).
     """
     config = _cell_config(config, options)
     if not tester_supports(tester_name, engine_name):

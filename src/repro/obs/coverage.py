@@ -106,8 +106,7 @@ def query_feature_tags(query: AnyQuery) -> List[str]:
     tags = [f"clause:{name}" for name in facts.clause_names]
     # Write-clause *family* tags (lowercase, so they cannot collide with
     # the verbatim clause names above): one per write family occurrence,
-    # with DETACH DELETE folding into the ``delete`` family.  These are
-    # what the stateful adaptive arms steer on.
+    # with DETACH DELETE folding into the ``delete`` family.
     tags.extend(
         f"clause:{_WRITE_FAMILIES[name]}"
         for name in facts.clause_names

@@ -16,7 +16,7 @@ text, this module serializes for machines and browsers, from the same
   ``json.dumps``-able dicts with a ``schema`` version.
 * :func:`html_report` — a self-contained static HTML report (inline CSS,
   inline SVG coverage curve, zero external requests) covering stats,
-  coverage, triage, adaptation, and the operator profile.
+  coverage, triage and the operator profile.
 """
 
 from __future__ import annotations

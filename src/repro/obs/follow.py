@@ -91,8 +91,6 @@ def render_watch(view, *, path: Union[str, Path],
     polls); ``None`` renders as ``-`` so scripted ``--once`` output stays
     deterministic.
     """
-    from repro.obs.render import render_adaptation
-
     lines = [
         "== live campaign telemetry ==",
         f"log: {path}   events: {view.events}"
@@ -119,9 +117,6 @@ def render_watch(view, *, path: Union[str, Path],
         lines += [f"  {signature}" for signature in signatures[:12]]
         if len(signatures) > 12:
             lines.append(f"  ... and {len(signatures) - 12} more")
-    adaptation = render_adaptation(view.adaptation)
-    if adaptation:
-        lines += ["", "== adaptation ==", *adaptation]
     footer = [line for line in (_service_line(view.service),
                                 _supervisor_line(view.supervisor)) if line]
     if footer:
@@ -157,7 +152,7 @@ def _service_line(service: Optional[Dict[str, int]]) -> Optional[str]:
     if service is None:
         return None
     parts = [f"leases {service['leases']}"]
-    for key in ("revoked", "heartbeats", "jobs", "restarts"):
+    for key in ("revoked", "jobs", "restarts"):
         if service[key]:
             parts.append(
                 f"jobs {service['jobs_complete']}/{service['jobs']} complete"

@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 Event = Dict[str, Any]
 
 __all__ = [
-    "render_adaptation",
     "render_stats",
     "render_trace",
     "render_coverage",
@@ -101,37 +100,6 @@ def _render_supervisor(counts: Dict[str, Any]) -> List[str]:
         lines.append(
             f"  chaos log truncations: {counts['chaos_truncations']:>11d}"
         )
-    return lines
-
-
-def render_adaptation(merged: Optional[Dict[str, Any]]) -> List[str]:
-    """The ``== adaptation ==`` lines: bandit counters per feature arm."""
-    if merged is None:
-        return []
-    strategies = merged.get("strategies") or (
-        [merged["strategy"]] if merged.get("strategy") else []
-    )
-    lines = [
-        f"  strategy: {', '.join(strategies) or '?'}",
-        f"  cells: {merged.get('cells', 1)}   "
-        f"rounds: {merged.get('rounds', 0)}   "
-        f"queries observed: {merged.get('observed', 0)}   "
-        f"novel signatures: {merged.get('novel', 0)}",
-    ]
-    arms = merged.get("arms", {})
-    if arms:
-        width = max(len(name) for name in arms) + 2
-        lines.append(
-            f"    {'arm':<{width}s} {'selected':>9s} {'expressed':>10s} "
-            f"{'novel':>6s}"
-        )
-        for name in sorted(arms):
-            counters = arms[name]
-            lines.append(
-                f"    {name:<{width}s} {counters.get('selected', 0):>9d} "
-                f"{counters.get('pulls', 0):>10d} "
-                f"{counters.get('reward', 0):>6d}"
-            )
     return lines
 
 
@@ -222,7 +190,6 @@ def render_stats(view: "RunView") -> str:
         and not key.startswith("plan.")
     ]))
     sections.append(("supervisor", _render_supervisor(view.supervisor)))
-    sections.append(("adaptation", render_adaptation(view.adaptation)))
     lines = [line for title, body in sections if body
              for line in (f"== {title} ==", *body, "")]
     if not lines:

@@ -43,7 +43,7 @@ Event = Dict[str, Any]
 CellKey = Tuple[Any, Any, Any]
 
 #: Snapshot-carrying event kinds (one campaign-scope snapshot per cell).
-SNAPSHOT_KINDS = ("metrics", "coverage", "triage", "adaptation")
+SNAPSHOT_KINDS = ("metrics", "coverage", "triage")
 #: Per-attempt event kinds that count only when their attempt does.
 _ATTEMPT_KINDS = ("span", "fault", "bundle", "harness_error")
 
@@ -315,14 +315,6 @@ class RunView:
     def triage(self) -> Optional[Dict[str, Any]]:
         return self._merge("triage", merge_triage_snapshots)
 
-    @property
-    def adaptation(self) -> Optional[Dict[str, Any]]:
-        # Imported here: repro.obs must not import the runtime layer at
-        # module scope (the runtime kernel imports repro.obs).
-        from repro.runtime.adapt import merge_adaptation_snapshots
-
-        return self._merge("adaptation", merge_adaptation_snapshots)
-
     def matrix(self, name: str) -> Dict[str, Dict[str, int]]:
         """``name|tester=..,engine=..`` counters as ``{tester: {engine:
         value}}``, both levels sorted."""
@@ -353,7 +345,6 @@ class RunView:
         return {
             "leases": count("lease", 0),
             "revoked": count("lease_revoked", 0),
-            "heartbeats": count("heartbeat", 0),
             "jobs": count("job_submitted", 0),
             "jobs_complete": count("job_complete", 0),
             "restarts": count("service_start") - 1,

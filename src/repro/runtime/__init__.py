@@ -12,16 +12,6 @@ become structured failure events, deterministic retries, and explicit
 quarantine holes instead of grid aborts.
 """
 
-from repro.runtime.adapt import (
-    ADAPTIVE_STRATEGIES,
-    AdaptivePolicy,
-    AdaptiveSchedule,
-    FeatureArm,
-    WeightProfile,
-    attach_adaptive_policy,
-    default_arms,
-    merge_adaptation_snapshots,
-)
 from repro.runtime.events import EventLog
 from repro.runtime.kernel import CampaignKernel
 from repro.runtime.parallel import (
@@ -36,19 +26,11 @@ from repro.runtime.results import BugReport, CampaignResult
 from repro.runtime.supervisor import ChaosConfig, mp_context
 
 __all__ = [
-    "ADAPTIVE_STRATEGIES",
-    "AdaptivePolicy",
-    "AdaptiveSchedule",
     "BugReport",
     "CampaignResult",
     "CampaignKernel",
     "CampaignCell",
     "CellConfig",
-    "FeatureArm",
-    "WeightProfile",
-    "attach_adaptive_policy",
-    "default_arms",
-    "merge_adaptation_snapshots",
     "CellKey",
     "ChaosConfig",
     "EventLog",

@@ -83,27 +83,12 @@ class CampaignKernel:
         seen_faults: set = set()
 
         policy = tester.session
-        adaptive = policy.adaptive
-        feature_tags = None
-        if adaptive:
-            # The policy runs its own SHA-256-derived RNG (never the
-            # campaign RNG), and novelty feedback needs the signature
-            # stream, so an adaptive campaign always tracks triage
-            # internally (the `triage` event stays opt-in below).
-            from repro.obs.coverage import query_feature_tags, query_of
-
-            def feature_tags(proposal):
-                query = query_of(proposal)
-                return [] if query is None else query_feature_tags(query)
-
-            policy.begin(seed)
-
         coverage = triage = None
         if self.record_coverage:
             from repro.obs.coverage import CellCoverage
 
             coverage = CellCoverage(tester.name, engine.name, seed)
-        if self.record_triage or self.recorder is not None or adaptive:
+        if self.record_triage or self.recorder is not None:
             # The recorder needs the signature stream even when triage
             # events themselves were not requested.
             from repro.obs.triage import CellTriage
@@ -111,7 +96,6 @@ class CampaignKernel:
             triage = CellTriage(tester.name, engine.name, seed)
 
         tester.campaign_begin(engine, rng)
-        start_extra = {"adaptive": policy.strategy} if adaptive else {}
         self.events.emit(
             "campaign_start",
             tester=tester.name,
@@ -120,7 +104,6 @@ class CampaignKernel:
             budget_seconds=budget_seconds,
             max_queries=max_queries,
             restart_per_graph=policy.restart_per_graph,
-            **start_extra,
         )
 
         observing = PROBE.on
@@ -136,13 +119,6 @@ class CampaignKernel:
             first_load = True
             while self._within_budget(result, budget_seconds, max_queries):
                 with tracer.span("graph"):
-                    # Adaptive policies re-weight synthesis before each
-                    # graph round; the profile must land before the graph
-                    # generator is built so graph-shape bumps apply too.
-                    # Blind policies return None and this is a no-op.
-                    weights = policy.next_weights()
-                    if weights is not None:
-                        tester.apply_weights(weights)
                     # A fresh random graph per outer iteration; the restart
                     # decision is the tester's declared session policy
                     # (§5.4.4).
@@ -155,8 +131,8 @@ class CampaignKernel:
                     tester.load_graph(engine, graph, schema, restart)
                     first_load = False
                     # ``queries`` is the cumulative campaign counter at
-                    # round start: the live heartbeat ``repro watch`` uses
-                    # for progress/rate without needing per-query events.
+                    # round start: ``repro watch`` reads progress and rate
+                    # from it without needing per-query events.
                     self.events.emit(
                         "graph",
                         nodes=graph.node_count,
@@ -198,20 +174,11 @@ class CampaignKernel:
                             metrics.histogram(
                                 "stage.sim_seconds", stage="judge"
                             ).observe(result.sim_seconds - sim_before)
-                        outcome = self._record(
+                        self._record(
                             result, judgement, seen_faults,
                             triage=triage, tester=tester, engine=engine,
                             seed=seed,
                         )
-                        if adaptive:
-                            signature, novel = outcome or (None, False)
-                            policy.observe(
-                                proposal,
-                                judgement,
-                                feature_tags(proposal),
-                                novel=novel,
-                                signature=signature,
-                            )
                         if tester.recover(engine, graph, schema):
                             self.events.emit(
                                 "crash",
@@ -267,15 +234,6 @@ class CampaignKernel:
                 engine=engine.name,
                 seed=seed,
                 snapshot=triage.snapshot(),
-            )
-        if adaptive:
-            self.events.emit(
-                "adaptation",
-                scope="campaign",
-                tester=tester.name,
-                engine=engine.name,
-                seed=seed,
-                snapshot=policy.snapshot(),
             )
         return result
 
@@ -344,17 +302,14 @@ class CampaignKernel:
         tester: Optional[TesterProtocol] = None,
         engine=None,
         seed: int = 0,
-    ) -> Optional[tuple]:
-        """Record one judgement; returns ``(signature, is_new)`` when the
-        report was triaged (the adaptive policy's novelty feedback)."""
+    ) -> None:
+        """Record one judgement's report, if any."""
         report = judgement.report
         if report is None:
-            return None
+            return
         result.reports.append(report)
-        outcome = None
         if triage is not None:
             signature, is_new = triage.add(report, result.queries_run)
-            outcome = (signature, is_new)
             if is_new and self.recorder is not None:
                 self._record_bundle(
                     signature, report, tester, engine, seed,
@@ -372,7 +327,6 @@ class CampaignKernel:
                 sim_time=report.sim_time,
                 engine=report.engine,
             )
-        return outcome
 
     def _record_bundle(
         self,

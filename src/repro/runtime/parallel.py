@@ -108,8 +108,6 @@ class CellConfig:
     gate_scale: float = 1.0
     max_queries: Optional[int] = None
     execution_mode: str = "interpreted"
-    # Adaptive-synthesis strategy (None = blind campaign).
-    adaptive: Optional[str] = None
     # Stateful write-workload ratio (None = read-only synthesis; a float
     # selects the state-aware tester, repro.synth.state).  GQS only.
     stateful: Optional[float] = None
@@ -124,13 +122,20 @@ class CellConfig:
 
         Raises :class:`ValueError` on an unknown key or a value of the
         wrong type or range, so a malformed submission is refused at
-        admission instead of crashing a worker later.
+        admission instead of crashing a worker later.  Older journals
+        carry ``"adaptive": null``, which is dropped: every cell runs
+        blind.
         """
         from repro.gdb.engines import EXECUTION_MODES
-        from repro.runtime.adapt import ADAPTIVE_STRATEGIES
 
         if not isinstance(data, Mapping):
             raise ValueError("cell options must be a JSON object")
+        if "adaptive" in data:
+            if data["adaptive"] is not None:
+                raise ValueError("adaptive must be null: adaptive "
+                                 "synthesis is no longer supported")
+            data = {key: value for key, value in data.items()
+                    if key != "adaptive"}
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = sorted(set(data) - set(defaults))
         if unknown:
@@ -151,9 +156,6 @@ class CellConfig:
                     f"{name} must be a positive integer or null")
         require(values["execution_mode"] in EXECUTION_MODES,
                 f"execution_mode must be one of {EXECUTION_MODES}")
-        require(values["adaptive"] is None
-                or values["adaptive"] in ADAPTIVE_STRATEGIES,
-                f"adaptive must be one of {ADAPTIVE_STRATEGIES} or null")
         stateful = values["stateful"]
         require(stateful is None
                 or (_is_number(stateful) and 0.0 <= stateful <= 1.0),
@@ -329,11 +331,9 @@ class ParallelCampaignRunner:
 def _fold(
     events: Sequence[Dict], keys: Sequence[CellKey],
 ) -> Dict[CellKey, CampaignResult]:
-    """Results of the grid cells *events* checkpointed (through the
-    scheduler's journal replay: the last checkpoint of a cell wins)."""
-    from repro.core.reporting import campaign_from_dict
-    from repro.service.scheduler import replay_service_journal
+    """Results of the grid cells *events* checkpointed (the last
+    checkpoint of a cell wins)."""
+    from repro.core.reporting import completed_cells_from_events
 
-    recorded = replay_service_journal(events)["cells"]
-    return {key: campaign_from_dict(recorded[key]["campaign"])
-            for key in keys if key in recorded}
+    recorded = completed_cells_from_events(events)
+    return {key: recorded[key] for key in keys if key in recorded}

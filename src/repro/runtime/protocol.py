@@ -22,15 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
 
 from repro.runtime.results import BugReport, CampaignResult
 
@@ -39,40 +31,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.generator import GeneratorConfig
     from repro.graph.model import PropertyGraph
     from repro.graph.schema import GraphSchema
-    from repro.runtime.adapt import WeightProfile
 
 __all__ = ["SessionPolicy", "Judgement", "TesterProtocol"]
 
 
+@dataclass(frozen=True)
 class SessionPolicy:
-    """How a tester runs its campaign sessions — restart policy plus
-    optional synthesis feedback (§5.4.4).
+    """How a tester runs its campaign sessions (§5.4.4).
 
     ``restart_per_graph=True`` is GQS's reproducibility-first policy: every
     graph is loaded into a freshly restarted instance.  ``False`` models the
     baselines' long-lived session, where only the very first load restarts —
     which is why they can reach the accumulation crashes GQS misses.
-
-    Beyond the restart decision, a policy may *steer synthesis*: the kernel
-    calls :meth:`begin` once per campaign, :meth:`next_weights` before each
-    graph round, and :meth:`observe` after each judged query.  The defaults
-    are inert — they draw no randomness and return no weights — so a plain
-    ``SessionPolicy`` reproduces the blind campaign byte-identically.
-    :class:`repro.runtime.adapt.AdaptivePolicy` overrides the hooks to run
-    the greybox feedback loop.
     """
 
-    #: True on policies whose hooks actually feed back into synthesis; the
-    #: kernel keys all adaptive bookkeeping (and the ``adaptation`` event)
-    #: off this flag so blind campaigns stay byte-identical to before.
-    adaptive: bool = False
-    #: Strategy label surfaced in events/snapshots (None when blind).
-    strategy: Optional[str] = None
-
-    def __init__(self, *, restart_per_graph: bool = False):
-        self.restart_per_graph = bool(restart_per_graph)
-
-    # -- named constructors ------------------------------------------------
+    restart_per_graph: bool = False
 
     @classmethod
     def restart_each_graph(cls) -> "SessionPolicy":
@@ -83,51 +56,6 @@ class SessionPolicy:
     def long_session(cls) -> "SessionPolicy":
         """The baselines' policy: one long-lived session, state accumulates."""
         return cls(restart_per_graph=False)
-
-    # -- feedback hooks (inert by default) ---------------------------------
-
-    def begin(self, seed: int) -> None:
-        """Reset per-campaign state.  Called once, before the first graph."""
-
-    def next_weights(self) -> Optional["WeightProfile"]:
-        """Weight overrides for the next graph round (None = run blind)."""
-        return None
-
-    def observe(
-        self,
-        proposal: Any,
-        judgement: "Judgement",
-        tags: List[str],
-        *,
-        novel: bool = False,
-        signature: Optional[str] = None,
-    ) -> None:
-        """Feed one judged query back into the policy.
-
-        *tags* are the proposal's :func:`repro.obs.coverage.
-        query_feature_tags`; *novel* is True when the judgement produced a
-        triage signature never seen before in this campaign.
-        """
-
-    def snapshot(self) -> Optional[Dict[str, Any]]:
-        """JSON-safe adaptation counters (None when the policy is blind)."""
-        return None
-
-    # -- value semantics (kept from the old frozen dataclass) --------------
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}"
-            f"(restart_per_graph={self.restart_per_graph})"
-        )
-
-    def __eq__(self, other: Any) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.restart_per_graph == other.restart_per_graph
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.restart_per_graph))
 
 
 @dataclass
@@ -201,15 +129,6 @@ class TesterProtocol:
         by the engine cost of every query they execute.
         """
         raise NotImplementedError
-
-    def apply_weights(self, weights: "WeightProfile") -> None:
-        """Apply a policy-issued weight profile to this tester's generators.
-
-        Called by the kernel before each graph round whenever the session
-        policy returned weights from ``next_weights()``.  The default is a
-        no-op: testers that cannot be steered simply ignore the profile,
-        so adaptive campaigns remain valid (if unhelpful) on any tester.
-        """
 
     def session_engines(self, engine: "GraphDatabase") -> list:
         """Every engine instance live in the current session.

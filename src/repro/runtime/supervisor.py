@@ -17,10 +17,10 @@ what an attempt itself needs, wherever it runs:
   :func:`_init_worker` the recursion headroom of every worker process
   (lease workers and reduction pools alike).
 * **Chaos** — a deterministic fault injector (:class:`ChaosConfig`)
-  crashes, hangs, or errors attempts, stalls lease heartbeats and tears
-  checkpoint writes, keyed on SHA-256 draws over the cell identity and
-  attempt number, so the scheduler is itself tested by fault injection
-  without perturbing any campaign RNG stream.
+  crashes, hangs, or errors attempts and tears checkpoint writes, keyed
+  on SHA-256 draws over the cell identity and attempt number, so the
+  scheduler is itself tested by fault injection without perturbing any
+  campaign RNG stream.
 """
 
 from __future__ import annotations
@@ -145,20 +145,6 @@ class ChaosConfig:
         """Whether to tear the event-log write after this cell's checkpoint."""
         tester, engine, seed = key
         return self._unit("truncate", tester, engine, seed) < self.rate
-
-    def heartbeat_stall(self, key: CellKey, attempt: int) -> bool:
-        """Suppress this lease attempt's worker heartbeats.
-
-        The worker keeps running the cell normally but never reports a
-        heartbeat, so the scheduler's missed-heartbeat detector must revoke
-        the lease and requeue the cell — the failure detection path
-        exercised without killing anything.  Drawn on its own purpose key
-        so it composes independently with :meth:`directive` (a single
-        attempt can be both stalled and, say, crashed — whichever bites
-        first).
-        """
-        tester, engine, seed = key
-        return self._unit("stall", tester, engine, seed, attempt) < self.rate
 
 
 def _chaos_inject(directive: str, hang_seconds: float) -> None:

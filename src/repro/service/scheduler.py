@@ -1,4 +1,4 @@
-"""The campaign scheduler: leases, heartbeats, retries, recovery.
+"""The campaign scheduler: leases, retries, recovery.
 
 Every campaign grid runs on this scheduler: ``campaign``/``compare``, the
 paper tables and every other :class:`repro.runtime.ParallelCampaignRunner`
@@ -16,12 +16,9 @@ cell attempt runs under one robustness-first state machine:
   cells are deterministic (the seed lives in the spec), a re-run after
   revocation is byte-identical to an uninterrupted run — revocation can
   cost time, never correctness.  Without a lease length there is no
-  deadline of any kind.
-* **Heartbeats** — a bounded lease's worker reports a heartbeat every
-  :data:`HEARTBEAT_SECONDS`; :data:`HEARTBEAT_MISSES` consecutive silent
-  intervals revoke the lease early.  This separates "slow but alive"
-  (the lease keeps running to its deadline) from "dead or wedged"
-  (detected in a few heartbeats, not a full lease).
+  deadline of any kind.  A worker that dies is revoked as soon as its
+  exit is seen (``worker_exit``); a wedged one at its lease deadline
+  (``lease_expired``).
 * **Deterministic retries** — every failed attempt is a ``cell_failed``
   event (kind ``exception``, ``crash`` or ``timeout``); the cell requeues
   with the *same* seed and exponential backoff (``retry_backoff *
@@ -82,13 +79,8 @@ CellKey = Tuple[str, str, int]
 SEALED_EVENT_KINDS = ("job_submitted", "cell_complete", "cell_quarantined")
 
 #: The ``cell_failed`` kind of each lease revocation reason.
-_REVOCATION_KINDS = {"worker_exit": "crash", "lease_expired": "timeout",
-                     "missed_heartbeat": "timeout"}
+_REVOCATION_KINDS = {"worker_exit": "crash", "lease_expired": "timeout"}
 
-#: Seconds between a bounded lease worker's heartbeats.
-HEARTBEAT_SECONDS = 1.0
-#: Consecutive silent heartbeat intervals that revoke a bounded lease.
-HEARTBEAT_MISSES = 3
 #: Longest sleep of :meth:`CampaignScheduler.run_until` between ticks.
 POLL_INTERVAL = 0.05
 
@@ -120,7 +112,6 @@ class _Lease:
     conn: Any
     attempt: int
     expires: Optional[float]  # monotonic hard deadline, None = unbounded
-    beat_deadline: Optional[float]  # revoke early when no heartbeat by then
 
 
 @dataclass
@@ -155,10 +146,10 @@ def replay_service_journal(
 
     * ``job_submitted`` opens a job (its spec re-derives the cells: same
       decomposition path, same SHA-256 seeds);
-    * ``cell_complete`` marks a cell done (last occurrence wins, matching
-      :func:`repro.core.reporting.completed_cells_from_events`); every
-      checkpoint, with or without a job, also lands in ``cells``, the map
-      a grid's ``--resume`` reads;
+    * ``cell_complete`` marks a cell done (last occurrence wins); every
+      checkpoint, with or without a job, also lands in ``cells``, the one
+      checkpoint fold (:func:`repro.core.reporting.
+      completed_cells_from_events` and a grid's ``--resume`` read it);
     * ``cell_quarantined`` marks a quarantine hole;
     * ``cell_failed`` / ``lease_revoked`` count consumed attempts (the
       highest failed attempt number), so a restarted scheduler continues the
@@ -280,8 +271,6 @@ class CampaignScheduler:
             "service_start",
             jobs=self.jobs_limit,
             lease_seconds=self.lease_seconds,
-            heartbeat_seconds=HEARTBEAT_SECONDS,
-            heartbeat_misses=HEARTBEAT_MISSES,
             cell_retries=self.cell_retries,
             recovered_jobs=recovered["jobs"],
             resumed_cells=recovered["resumed"],
@@ -422,57 +411,43 @@ class CampaignScheduler:
     def _reap(self, now: float) -> None:
         survivors: List[_Lease] = []
         for lease in self._leases:
-            if self._drain_messages(lease, now):
+            if self._take_result(lease, now):
                 continue
-            # Before revoking, drain any result racing the exit or the
+            # Before revoking, take any result racing the exit or the
             # deadline: a result that arrived in time wins.
             if not lease.proc.is_alive():
-                if not self._drain_messages(lease, now, grace=0.05):
+                if not self._take_result(lease, now, grace=0.05):
                     self._revoke(lease, "worker_exit", now)
             elif lease.expires is not None and now >= lease.expires:
-                if not self._drain_messages(lease, now, grace=0.05):
+                if not self._take_result(lease, now, grace=0.05):
                     self._revoke(lease, "lease_expired", now)
-            elif (lease.beat_deadline is not None
-                  and now >= lease.beat_deadline):
-                if not self._drain_messages(lease, now, grace=0.05):
-                    self._revoke(lease, "missed_heartbeat", now)
             else:
                 survivors.append(lease)
         self._leases = survivors
 
-    def _drain_messages(self, lease: _Lease, now: float,
-                        grace: float = 0.0) -> bool:
-        """Pump one lease's pipe; True when the lease settled (result)."""
-        while True:
-            try:
-                if not lease.conn.poll(grace):
-                    return False
-                message = lease.conn.recv()
-            except (EOFError, OSError):
+    def _take_result(self, lease: _Lease, now: float,
+                     grace: float = 0.0) -> bool:
+        """Take a lease's result if its worker sent it; True when the
+        lease settled.  A worker sends exactly one message: its result."""
+        try:
+            if not lease.conn.poll(grace):
                 return False
-            grace = 0.0
-            if message.get("type") == "heartbeat":
-                lease.beat_deadline = now + HEARTBEAT_SECONDS * HEARTBEAT_MISSES
-                self._emit_cell("heartbeat", lease.cell,
-                                attempt=lease.attempt)
-                continue
-            if message.get("type") == "result":
-                self._terminate(lease, join_only=True)
-                self._settle(lease.cell, lease.attempt, message, now)
-                return True
+            message = lease.conn.recv()
+        except (EOFError, OSError):
+            return False
+        self._terminate(lease, join_only=True)
+        self._settle(lease.cell, lease.attempt, message, now)
+        return True
 
     def _revoke(self, lease: _Lease, reason: str, now: float) -> None:
-        """A dead/silent/overdue lease: revoke, then retry or quarantine."""
+        """A dead or overdue lease: revoke, then retry or quarantine."""
         self._terminate(lease)
         if reason == "worker_exit":
             error = (f"worker exited with code {lease.proc.exitcode} "
                      "before reporting a result")
-        elif reason == "lease_expired":
+        else:
             error = (f"cell exceeded the {self.lease_seconds:g}s watchdog "
                      "timeout; worker terminated")
-        else:
-            error = (f"no heartbeat for {HEARTBEAT_MISSES} x "
-                     f"{HEARTBEAT_SECONDS:g}s; worker terminated")
         self._fail(lease.cell, now, _REVOCATION_KINDS[reason], error,
                    revoked=reason)
 
@@ -545,21 +520,16 @@ class CampaignScheduler:
 
     def _lease(self, cell: _Cell) -> _Lease:
         attempt = cell.failures + 1
-        bounded = self.lease_seconds is not None
         task: Dict[str, Any] = {
             "key": list(cell.key),
             "spec": cell.spec,
             "attempt": attempt,
-            # Heartbeats matter only against a deadline.
-            "heartbeat_seconds": HEARTBEAT_SECONDS if bounded else None,
         }
         if self.chaos is not None:
             directive = self.chaos.directive(cell.key, attempt)
             if directive is not None:
                 task["chaos"] = directive
                 task["hang_seconds"] = self.chaos.hang_seconds
-            if self.chaos.heartbeat_stall(cell.key, attempt):
-                task["stall_heartbeats"] = True
         parent_conn, child_conn = self._context.Pipe(duplex=False)
         # The worker closes the read ends it inherits, its own included:
         # once this process dies, a worker's send fails instead of
@@ -578,14 +548,10 @@ class CampaignScheduler:
             "lease", cell, attempt=attempt, pid=proc.pid,
             lease_seconds=self.lease_seconds,
         )
-        # The worker beats once on start; its first beat gets one extra
-        # interval for process start-up.
-        grace = HEARTBEAT_SECONDS * (HEARTBEAT_MISSES + 1)
-        return _Lease(
-            cell=cell, proc=proc, conn=parent_conn, attempt=attempt,
-            expires=started + self.lease_seconds if bounded else None,
-            beat_deadline=started + grace if bounded else None,
-        )
+        expires = (None if self.lease_seconds is None
+                   else started + self.lease_seconds)
+        return _Lease(cell=cell, proc=proc, conn=parent_conn,
+                      attempt=attempt, expires=expires)
 
     def _complete_jobs(self) -> None:
         for job_id in self._order:

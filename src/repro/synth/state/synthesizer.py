@@ -11,8 +11,7 @@ oracle applies verbatim inside a stateful session.
 
 The write mix is governed by the ``stateful_*_weight`` knobs on
 :class:`SynthesizerConfig`, renormalized over the kinds valid for the
-current state (an empty shadow can only CREATE/MERGE), which keeps the
-adaptive policy's multiplicative scaling meaningful.
+current state (an empty shadow can only CREATE/MERGE).
 """
 
 from __future__ import annotations
@@ -69,15 +68,11 @@ class StatefulSynthesizer:
         model: StateModel,
         rng: random.Random,
         config: Optional[SynthesizerConfig] = None,
-        weights=None,
         stateful_ratio: float = 0.5,
     ):
         self.model = model
         self.rng = rng
         self.config = config or SynthesizerConfig()
-        if weights is not None:
-            self.config = weights.apply_synthesizer(self.config)
-        self.weights = None  # already folded into config above
         self.stateful_ratio = max(0.0, min(1.0, stateful_ratio))
 
     # ------------------------------------------------------------------

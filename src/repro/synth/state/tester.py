@@ -77,7 +77,6 @@ class StatefulGQSTester(GQSTester):
             model,
             rng,
             config=self._synthesizer_config,
-            weights=self._weights,
             stateful_ratio=self.stateful_ratio,
         )
         self._round = _Round(model=model, initial_graph=graph)

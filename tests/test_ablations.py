@@ -8,8 +8,7 @@ instead of minutes of matching).  The query-shape side of each ablation
 averages one synthesized query over each of 60 generated graphs.
 
 At this scale, stepwise synthesis, pattern mutation and nesting win on
-most seeds; the adaptive bar (1.2x the blind run's distinct bugs) holds on
-the pinned seed, not in general.
+most seeds.
 """
 
 import random
@@ -22,8 +21,7 @@ from repro.core.synthesizer import QuerySynthesizer, SynthesizerConfig
 from repro.gdb import EngineOptions, create_engine
 from repro.gdb.faults import extract_features
 from repro.graph import GraphGenerator
-from repro.obs import distinct_signatures
-from repro.runtime import CampaignKernel, attach_adaptive_policy
+from repro.runtime import CampaignKernel
 
 SEED = 4
 QUERIES = 120
@@ -61,10 +59,8 @@ def _with_builder_knobs(knobs):
     return Synthesizer
 
 
-def _campaign(synthesizer=None, builder=None, adaptive=False):
+def _campaign(synthesizer=None, builder=None):
     tester = GQSTester(synthesizer_overrides=synthesizer)
-    if adaptive:
-        attach_adaptive_policy(tester, "epsilon")
     engine = create_engine("falkordb", options=EngineOptions(gate_scale=GATE_SCALE))
     with pytest.MonkeyPatch.context() as patch:
         if builder:
@@ -100,15 +96,6 @@ def test_stepwise_synthesis_beats_match_return(full):
     ablated = _campaign(synthesizer=MATCH_RETURN_ONLY)
     assert len(full.detected_faults) > len(ablated.detected_faults)
     assert len(full.reports) > len(ablated.reports)
-
-
-def test_adaptive_feedback_beats_blind(full):
-    """Same tester, engine, seed and query budget; only the session policy
-    differs, so the distinct-bug ratio is the per-query ratio."""
-    adaptive = _campaign(adaptive=True)
-    assert adaptive.queries_run == full.queries_run
-    adaptive_bugs = len(distinct_signatures(adaptive.reports))
-    assert adaptive_bugs >= 1.2 * len(distinct_signatures(full.reports))
 
 
 def test_pattern_mutation_adds_patterns_and_failing_tests(full):

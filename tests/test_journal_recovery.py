@@ -40,15 +40,14 @@ SPEC = {"testers": ["GQS", "GQT"], "engines": [ENGINE], "seeds": [0],
 POSITION = re.compile(r"line \d+ \(byte offset \d+\)")
 
 
-def fast_beats(monkeypatch):
-    """Shorten the scheduler's heartbeat and poll timing."""
-    monkeypatch.setattr(scheduler_module, "HEARTBEAT_SECONDS", 0.2)
+def fast_poll(monkeypatch):
+    """Shorten the scheduler's poll interval."""
     monkeypatch.setattr(scheduler_module, "POLL_INTERVAL", 0.02)
 
 
 @pytest.fixture(autouse=True)
-def _fast_beats(monkeypatch):
-    fast_beats(monkeypatch)
+def _fast_poll(monkeypatch):
+    fast_poll(monkeypatch)
 
 
 def grid_cells():
@@ -100,7 +99,7 @@ def grid_log(tmp_path_factory):
 def service_journal(tmp_path_factory):
     path = tmp_path_factory.mktemp("service") / "svc.jsonl"
     with pytest.MonkeyPatch.context() as monkeypatch:
-        fast_beats(monkeypatch)
+        fast_poll(monkeypatch)
         scheduler = CampaignScheduler(path, jobs=1, lease_seconds=60.0)
         scheduler.submit(SPEC)
         scheduler.run_until(timeout=120)
@@ -164,8 +163,10 @@ class TestDamagedLogs:
                 outcomes["recovered"] += 1
         assert outcomes["recovered"] and outcomes["refused"], outcomes
 
-    def test_flipped_checkpoint_is_refused_not_trusted(self, tmp_path,
-                                                       grid_log):
+    @staticmethod
+    def _flip_checkpoint(tmp_path, grid_log):
+        """The grid log with one checkpoint's campaign tampered; returns
+        the log and the tampered record's line number."""
         lines = grid_log.split(b"\n")[:-1]
         index = next(i for i, line in enumerate(lines)
                      if b'"event":"cell_complete"' in line)
@@ -175,9 +176,22 @@ class TestDamagedLogs:
         log = tmp_path / "grid.jsonl"
         log.write_bytes(b"\n".join(lines[:index] + [damaged]
                                    + lines[index + 1:]) + b"\n")
+        return log, index + 1
+
+    def test_flipped_checkpoint_is_refused_not_trusted(self, tmp_path,
+                                                       grid_log):
+        log, line = self._flip_checkpoint(tmp_path, grid_log)
         with pytest.raises(JournalError,
-                           match=rf"line {index + 1} \(byte offset \d+\)"):
+                           match=rf"line {line} \(byte offset \d+\)"):
             replay_service_journal(load_event_stream(log))
+
+    def test_completed_cells_refuse_a_flipped_checkpoint(self, tmp_path,
+                                                         grid_log):
+        # The checkpoint fold behind reports and perfbench is the replay's.
+        log, line = self._flip_checkpoint(tmp_path, grid_log)
+        with pytest.raises(JournalError,
+                           match=rf"line {line} \(byte offset \d+\)"):
+            completed_cells_from_events(load_event_stream(log))
 
 
 class TestLogsFromBeforeTheScheduler:
@@ -198,3 +212,20 @@ class TestLogsFromBeforeTheScheduler:
         assert job["counts"]["done"] == 1 and job["counts"]["pending"] == 1
         scheduler.close()
         assert restart_service(journal, lease_seconds=60.0) == reference
+
+    def test_journaled_adaptive_strategy_is_refused_with_position(
+        self, tmp_path
+    ):
+        with pytest.raises(ValueError, match="adaptive"):
+            CellConfig.from_dict({"budget_seconds": 4.0,
+                                  "adaptive": "epsilon"})
+        data = (FIXTURES / "service_interrupted.jsonl").read_bytes()
+        assert data.count(b'"adaptive":null') == 1
+        journal = tmp_path / "svc.jsonl"
+        journal.write_bytes(data.replace(b'"adaptive":null',
+                                         b'"adaptive":"epsilon"'))
+        with pytest.raises(JournalError, match=(
+            r"line 2 \(byte offset \d+\): job job-0001 has an invalid "
+            r"spec \(adaptive must be null"
+        )):
+            CampaignScheduler(journal, jobs=1, lease_seconds=60.0)

@@ -157,7 +157,7 @@ def corpus(tmp_path_factory):
     """Small generated logs, one per kind of run the views must cover."""
     root = tmp_path_factory.mktemp("corpus")
     logs = {name: root / f"{name}.jsonl" for name in (
-        "run", "grid-jobs1", "grid-jobs2", "compiled", "adaptive",
+        "run", "grid-jobs1", "grid-jobs2", "compiled", "stateful",
         "service", "quarantine", "torn")}
     for name, argv in (
         ("run", ["run", *SMALL, "--metrics", "--coverage", "--triage"]),
@@ -168,7 +168,7 @@ def corpus(tmp_path_factory):
         ("compiled", ["campaign", *SMALL, "--seeds", "2", "--metrics",
                       "--coverage", "--triage", "--engine-mode",
                       "compiled"]),
-        ("adaptive", ["campaign", *SMALL, "--tester", "GQS", "--adaptive",
+        ("stateful", ["campaign", *SMALL, "--tester", "GQS",
                       "--stateful", "--metrics", "--triage"]),
     ):
         assert main([*argv, "--events", str(logs[name])]) == 0
@@ -190,7 +190,7 @@ def corpus(tmp_path_factory):
     return logs
 
 
-NAMES = ["run", "grid-jobs1", "grid-jobs2", "compiled", "adaptive",
+NAMES = ["run", "grid-jobs1", "grid-jobs2", "compiled", "stateful",
          "service", "quarantine", "torn", "resumed"]
 
 
@@ -310,7 +310,7 @@ def test_grid_views_are_identical_for_jobs_1_and_2(tmp_path):
         run_campaign_grid(
             ("GQS", "GRev"), ("falkordb",), seeds=(0, 1, 2),
             derive_seeds=True, budget_seconds=6.0, gate_scale=0.05,
-            adaptive="epsilon", record_metrics=True, record_coverage=True,
+            record_metrics=True, record_coverage=True,
             record_triage=True, jobs=jobs, events_path=path,
         )
         return RunView.of(load_event_stream(path))
@@ -322,7 +322,6 @@ def test_grid_views_are_identical_for_jobs_1_and_2(tmp_path):
     assert stats_one["histograms"]
     assert bugs_json(one) == bugs_json(two)
     assert one.coverage == two.coverage is not None
-    assert one.adaptation == two.adaptation is not None
 
 
 # -- the rules, on hand-written logs -----------------------------------------
@@ -418,19 +417,29 @@ class TestRules:
         assert RunView.of([cell("campaign_start")]).distinct_bugs == []
 
     def test_adaptation_event_without_a_seed_renders(self, tmp_path, capsys):
+        # Logs from before adaptive synthesis was removed carry
+        # ``campaign_start.adaptive`` and ``adaptation`` snapshots; every
+        # view ignores both.
         snapshot = {"strategy": "epsilon", "rounds": 2, "observed": 6,
                     "novel": 1,
                     "arms": {"union": {"pulls": 2, "reward": 1,
                                        "selected": 1}}}
-        log = tmp_path / "adaptation.jsonl"
+        log = tmp_path / "old.jsonl"
         log.write_text("".join(json.dumps(event) + "\n" for event in [
             {"event": "campaign_start", "tester": "GQS",
-             "engine": "falkordb"},
+             "engine": "falkordb", "adaptive": "epsilon"},
             {"event": "adaptation", "scope": "campaign", "tester": "GQS",
              "engine": "falkordb", "snapshot": snapshot},
         ]))
-        assert "rounds: 2" in render(capsys, "stats", str(log))
-        assert "rounds: 2" in render(capsys, "watch", str(log), "--once")
+        for argv in (["stats"], ["watch", "--once"], ["coverage"],
+                     ["bugs"]):
+            text = render(capsys, argv[0], str(log), *argv[1:])
+            assert "== adaptation ==" not in text
+            assert "rounds: 2" not in text
+        html = tmp_path / "old.html"
+        render(capsys, "report", str(log), "--out", str(html))
+        assert "rounds: 2" not in html.read_text()
         stats = json.loads(render(capsys, "stats", str(log),
                                   "--format", "json"))
         assert stats["events"] == 2
+        assert "adaptation" not in stats

@@ -234,3 +234,17 @@ class TestRealTestersRouteThroughKernel:
         direct = CampaignKernel().run(GQSTester(), engine_a, 10.0, seed=5)
         convenience = GQSTester().run(engine_b, 10.0, seed=5)
         assert campaign_to_dict(direct) == campaign_to_dict(convenience)
+
+    def test_blind_run_matches_convenience_baseline(self):
+        # The cell path (run_tool_campaign -> run_cell) adds nothing to
+        # the kernel's campaign: byte-for-byte the tester's own run.
+        from repro.experiments.campaign import run_tool_campaign
+
+        direct = GQSTester().run(
+            create_engine("falkordb", options=EngineOptions(gate_scale=0.05)),
+            6.0, seed=11,
+        )
+        via_campaign = run_tool_campaign(
+            "GQS", "falkordb", budget_seconds=6.0, seed=11, gate_scale=0.05,
+        )
+        assert campaign_to_dict(direct) == campaign_to_dict(via_campaign)

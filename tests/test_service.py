@@ -1,10 +1,10 @@
 """Tests for the campaign scheduler of :mod:`repro.service`.
 
-Covers job specs and the lease/heartbeat scheduler, plus the
-cross-cutting robustness contracts:
+Covers job specs and the lease scheduler, plus the cross-cutting
+robustness contracts:
 
 * scheduler results are byte-identical to uninterrupted inline runs, even
-  across worker crashes, heartbeat losses, lease revocations, an abrupt
+  across worker crashes, lease revocations, an abrupt
   scheduler death (``kill -9`` analogue) and a torn journal;
 * quarantine holes surface as exit code 3 from ``repro campaign``;
 * ``repro watch --once --format json`` shares shapes (and totals) with
@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,18 +36,14 @@ ENGINE = "falkordb"
 FAST = dict(lease_seconds=60.0)
 
 
-def fast_beats(monkeypatch, heartbeat_seconds=0.2, heartbeat_misses=3):
-    """Shorten the scheduler's heartbeat and poll timing for one test."""
-    monkeypatch.setattr(scheduler_module, "HEARTBEAT_SECONDS",
-                        heartbeat_seconds)
-    monkeypatch.setattr(scheduler_module, "HEARTBEAT_MISSES",
-                        heartbeat_misses)
+def fast_poll(monkeypatch):
+    """Shorten the scheduler's poll interval for one test."""
     monkeypatch.setattr(scheduler_module, "POLL_INTERVAL", 0.02)
 
 
 @pytest.fixture(autouse=True)
-def _fast_beats(monkeypatch):
-    fast_beats(monkeypatch)
+def _fast_poll(monkeypatch):
+    fast_poll(monkeypatch)
 
 
 #: Job specs admission must refuse with ValueError.
@@ -59,7 +56,7 @@ MALFORMED = [
     {"seeds": [True]},
     {"budget_seconds": 0},
     {"execution_mode": "quantum"},
-    {"adaptive": "greedy"},
+    {"adaptive": "greedy"},  # adaptive synthesis is gone: only null loads
     {"stateful": 1.5},
     {"max_queries": "5"},
     {"step_budget": "x"},
@@ -99,17 +96,13 @@ def inline_fingerprint(done, budget_seconds):
 class ScriptedServiceChaos(ChaosConfig):
     """Deterministic per-attempt chaos for scheduler tests."""
 
-    def __init__(self, directives=(), stalls=(), truncate=False):
+    def __init__(self, directives=(), truncate=False):
         super().__init__(rate=0.0)
         self._directives = dict(directives)  # attempt -> kind
-        self._stalls = set(stalls)  # attempts with suppressed heartbeats
         self._truncate = truncate
 
     def directive(self, key, attempt):
         return self._directives.get(attempt)
-
-    def heartbeat_stall(self, key, attempt):
-        return attempt in self._stalls
 
     def truncates(self, key):
         return self._truncate
@@ -122,7 +115,7 @@ class TestJobSpec:
     def test_round_trips_through_dict(self):
         spec = JobSpec.from_dict(spec_dict(
             testers=["GQS", "GQT"], seeds=[0, 1], derive_seeds=True,
-            execution_mode="compiled", adaptive="ucb", stateful=0.5,
+            execution_mode="compiled", stateful=0.5,
             record_metrics=True,
         ))
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -190,7 +183,7 @@ class TestJournalReplay:
              "engine": ENGINE, "seed": 0, "attempt": 1},
             {"event": "lease_revoked", "job": "job-0001", "tester": "GQS",
              "engine": ENGINE, "seed": 0, "attempt": 1,
-             "reason": "missed_heartbeat", "will_retry": True},
+             "reason": "lease_expired", "will_retry": True},
             {"event": "cell_failed", "job": "job-0001", "tester": "GQS",
              "engine": ENGINE, "seed": 0, "attempt": 2,
              "kind": "exception", "will_retry": True},
@@ -221,24 +214,31 @@ class TestScheduler:
         assert len(done) == 4
         assert fingerprint(done) == inline_fingerprint(done, 3.0)
 
-    def test_missed_heartbeats_revoke_then_retry_succeeds(self, tmp_path,
-                                                          monkeypatch):
-        fast_beats(monkeypatch, heartbeat_seconds=0.1, heartbeat_misses=2)
-        chaos = ScriptedServiceChaos(directives={1: "hang"}, stalls={1})
+    def test_expired_lease_revokes_then_retry_succeeds(self, tmp_path):
+        # The first attempt hangs; one tick on a clock past its lease
+        # deadline revokes it and leases the retry, which then completes.
+        # The expiry is driven by tick(now=...), not by waiting.
+        chaos = ScriptedServiceChaos(directives={1: "hang"})
         scheduler = CampaignScheduler(
             tmp_path / "svc.jsonl", jobs=1, cell_retries=2,
-            retry_backoff=0.01, lease_seconds=60.0, chaos=chaos,
+            retry_backoff=0.0, lease_seconds=60.0, chaos=chaos,
         )
         record = scheduler.submit(spec_dict())
+        scheduler.tick()
+        scheduler.tick(now=time.monotonic() + 61.0)
         scheduler.run_until(timeout=60)
         scheduler.drain()
         scheduler.tick()
         events = load_event_stream(tmp_path / "svc.jsonl")
         revoked = [e for e in events if e["event"] == "lease_revoked"]
-        assert [e["reason"] for e in revoked] == ["missed_heartbeat"]
+        assert [e["reason"] for e in revoked] == ["lease_expired"]
         assert revoked[0]["will_retry"] is True
+        (complete,) = (e for e in events if e["event"] == "cell_complete")
+        assert complete["attempts"] == 2
         counts = scheduler.job_record(record["job"])["counts"]
         assert counts["done"] == 1
+        assert fingerprint(completed_cells_from_events(events)) == (
+            inline_fingerprint([("GQS", ENGINE, 0)], 3.0))
 
     def test_worker_crashes_exhaust_retries_into_quarantine(self, tmp_path):
         chaos = ScriptedServiceChaos(
@@ -346,7 +346,7 @@ class TestWatchJson:
     def service_log(self, tmp_path_factory):
         journal = tmp_path_factory.mktemp("watchjson") / "svc.jsonl"
         with pytest.MonkeyPatch.context() as monkeypatch:
-            fast_beats(monkeypatch)
+            fast_poll(monkeypatch)
             scheduler = CampaignScheduler(journal, jobs=1, **FAST)
             scheduler.submit(spec_dict(record_metrics=True))
             scheduler.run_until(timeout=120)

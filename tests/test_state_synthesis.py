@@ -2,8 +2,8 @@
 
 Covers the shadow-state model, the valid-by-construction statement
 builders, the state digest oracle, the state-corruption fault effects,
-and the satellite surfaces: write-fallback plan counters, write-clause
-coverage tags, and the stateful adaptive arms.
+and the satellite surfaces: write-fallback plan counters and write-clause
+coverage tags.
 """
 
 import random
@@ -18,7 +18,6 @@ from repro.gdb.catalog import all_faults, gqs_scope_faults
 from repro.gdb.state_effects import StateEffect
 from repro.graph import GraphGenerator
 from repro.synth.state import (
-    StatefulGQSTester,
     StatefulSynthesizer,
     StateModel,
     compare_states,
@@ -300,38 +299,6 @@ class TestWriteCoverageTags:
 
         tags = query_feature_tags(parse_query("MATCH (n) RETURN n"))
         assert not any(tag.startswith("clause:c") for tag in tags)
-
-
-class TestStatefulAdaptiveArms:
-    def test_default_arms_unchanged_without_stateful(self):
-        from repro.runtime.adapt import default_arms
-
-        names = [arm.name for arm in default_arms()]
-        assert not any(name.startswith("write-") for name in names)
-        assert [arm.name for arm in default_arms(stateful=False)] == names
-
-    def test_stateful_arms_extend_the_set(self):
-        from repro.runtime.adapt import default_arms
-
-        arms = default_arms(stateful=True)
-        write = {arm.name for arm in arms} - {
-            arm.name for arm in default_arms()
-        }
-        assert write == {
-            "write-create", "write-merge", "write-set",
-            "write-delete", "write-remove",
-        }
-
-    def test_attach_picks_arms_by_tester_kind(self):
-        from repro.core.runner import GQSTester
-        from repro.runtime.adapt import attach_adaptive_policy, default_arms
-
-        stateful_policy = attach_adaptive_policy(StatefulGQSTester())
-        assert len(stateful_policy.schedule.arms) == len(
-            default_arms(stateful=True)
-        )
-        blind_policy = attach_adaptive_policy(GQSTester())
-        assert len(blind_policy.schedule.arms) == len(default_arms())
 
 
 class TestStatefulCliFlag:
