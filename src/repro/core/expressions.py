@@ -124,8 +124,8 @@ _LIST_TEMPLATES = (
 def _exact_key(value: Any) -> Any:
     """A key equal only for values of the same type and exact value.
 
-    Unlike ``equivalence_key`` it keeps 1, 1.0 and True apart, and 0.0,
-    -0.0 and NaNs by their bits, since a template can tell them apart.
+    Unlike ``equivalence_key`` it keeps 1 and 1.0 apart, and 0.0, -0.0
+    and NaNs by their bits, since a template can tell them apart.
     """
     if isinstance(value, float):
         return float, struct.pack("<d", value)

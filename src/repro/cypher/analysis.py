@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.cypher import ast
 
@@ -31,8 +31,9 @@ __all__ = [
 
 AnyQuery = Union[ast.Query, ast.UnionQuery]
 
-# Path patterns longer than this are tagged ``path-3+``.
+# Shape tag by path length; longer paths than the cap are tagged ``path-3+``.
 _PATH_CAP = 3
+_PATH_TAGS = ("path-0", "path-1", "path-2", "path-3+")
 
 # Binary operators behind the fault features' predicate counters.
 _COUNTED_OPS = {
@@ -62,101 +63,6 @@ def _flatten(query: AnyQuery) -> List[ast.Query]:
     return [query]
 
 
-def _clause_patterns(clause: ast.Clause) -> Tuple[ast.PathPattern, ...]:
-    if isinstance(clause, (ast.Match, ast.Create)):
-        return clause.patterns
-    if isinstance(clause, ast.Merge):
-        return (clause.pattern,)
-    return ()
-
-
-def _clause_bound_variables(clause: ast.Clause) -> Set[str]:
-    """Variables newly introduced by *clause*."""
-    bound: Set[str] = set()
-    for pattern in _clause_patterns(clause):
-        bound.update(pattern.variables())
-    if isinstance(clause, ast.Unwind):
-        bound.add(clause.alias)
-    elif isinstance(clause, (ast.With, ast.Return)):
-        for item in clause.items:
-            bound.add(item.output_name())
-    elif isinstance(clause, ast.Call):
-        for name, alias in clause.yield_items:
-            bound.add(alias or name)
-    return bound
-
-
-def _clause_names(clause: ast.Clause, names: List[str]) -> None:
-    """Append the clause and subclause names of *clause* (Figure 11)."""
-    if isinstance(clause, ast.Match):
-        names.append("OPTIONAL MATCH" if clause.optional else "MATCH")
-        if clause.where is not None:
-            names.append("WHERE")
-    elif isinstance(clause, ast.Unwind):
-        names.append("UNWIND")
-    elif isinstance(clause, (ast.With, ast.Return)):
-        names.append("WITH" if isinstance(clause, ast.With) else "RETURN")
-        if clause.distinct:
-            names.append("DISTINCT")
-        if clause.order_by:
-            names.append("ORDER BY")
-        if clause.skip is not None:
-            names.append("SKIP")
-        if clause.limit is not None:
-            names.append("LIMIT")
-        if isinstance(clause, ast.With) and clause.where is not None:
-            names.append("WHERE")
-    elif isinstance(clause, ast.Call):
-        names.append("CALL")
-    elif isinstance(clause, ast.Create):
-        names.append("CREATE")
-    elif isinstance(clause, ast.SetClause):
-        names.append("SET")
-    elif isinstance(clause, ast.Delete):
-        names.append("DETACH DELETE" if clause.detach else "DELETE")
-    elif isinstance(clause, ast.Remove):
-        names.append("REMOVE")
-    elif isinstance(clause, ast.Merge):
-        names.append("MERGE")
-
-
-def _counted_expressions(clause: ast.Clause) -> Iterator[Tuple[ast.Expression, bool]]:
-    """Pair each :func:`ast.walk_expressions` expression of *clause* with
-    whether the predicate counters count it.
-
-    Counted are MATCH and WITH ``WHERE``, the UNWIND expression, WITH and
-    RETURN items and SET values; not ORDER BY, SKIP, LIMIT, pattern
-    property maps, CALL arguments or DELETE targets.  Positions follow
-    ``walk_expressions``: property maps before a MATCH ``WHERE``, items
-    first and ``WHERE`` last in a WITH.
-    """
-    exprs = list(ast.walk_expressions(clause))
-    counted = [isinstance(clause, (ast.Unwind, ast.SetClause))] * len(exprs)
-    if isinstance(clause, (ast.With, ast.Return)):
-        counted[:len(clause.items)] = [True] * len(clause.items)
-    if isinstance(clause, (ast.Match, ast.With)) and clause.where is not None:
-        counted[-1] = True
-    return zip(exprs, counted)
-
-
-def _pattern_shapes(pattern: ast.PathPattern, shapes: List[str]) -> None:
-    """Append the shape tags of *pattern*: length, direction, label arity."""
-    length = len(pattern.relationships)
-    shapes.append(f"path-{_PATH_CAP}+" if length >= _PATH_CAP else f"path-{length}")
-    if pattern.path_variable:
-        shapes.append("named-path")
-    for rel in pattern.relationships:
-        if rel.direction == ast.BOTH:
-            shapes.append("undirected-rel")
-        if rel.types:
-            shapes.append("typed-rel")
-    for node in pattern.nodes:
-        if len(node.labels) >= 2:
-            shapes.append("multi-label-node")
-        elif node.labels:
-            shapes.append("labeled-node")
-
-
 @dataclass(frozen=True)
 class QueryFacts:
     """Everything the per-query analyses read, gathered in one tree walk.
@@ -166,7 +72,7 @@ class QueryFacts:
     ``operators`` and pattern ``shapes`` keep repeats, in tree order.
     ``counts`` holds the predicate counters of
     :class:`repro.gdb.faults.QueryFeatures`, by field name, over the
-    positions :func:`_counted_expressions` marks (``aggregate_count``
+    counted positions listed above ``_CLAUSES`` (``aggregate_count``
     tallies ``count(*)`` only).  A tree walks once: ``query.facts`` keeps
     the result on the tree.
     """
@@ -196,7 +102,12 @@ class QueryFacts:
 
 
 class _Walk:
-    """The accumulators of one :meth:`QueryFacts.of` walk."""
+    """The accumulators of one :meth:`QueryFacts.of` walk.
+
+    Clauses and expressions are visited through the class-keyed tables
+    ``_CLAUSES`` and ``_EXPRESSIONS``, whose handlers recurse into the
+    fields of their node kind.
+    """
 
     def __init__(self) -> None:
         self.patterns = self.depth = self.clauses = self.dependencies = 0
@@ -205,89 +116,301 @@ class _Walk:
         self.operators: List[str] = []
         self.shapes: List[str] = []
         self.counts: Dict[str, int] = {}
-        self._seen: Set[str] = set()
+        # Variables bound by the earlier clauses of the current subquery.
+        self.seen: Set[str] = set()
 
     def query(self, sub: ast.Query) -> None:
-        self._seen = set()
+        self.seen = set()
+        self.clauses += len(sub.clauses)
         for clause in sub.clauses:
-            self.clauses += 1
-            _clause_names(clause, self.clause_names)
-            patterns = _clause_patterns(clause)
-            self.patterns += len(patterns)
-            for pattern in patterns:
-                _pattern_shapes(pattern, self.shapes)
-                # Reusing a variable bound earlier inside a later pattern
-                # is a cross-clause dependency too (e.g. ``n5`` referenced
-                # in four clauses in Figure 1).
-                for name in pattern.variables():
-                    self._use(name, ())
-            for expr, counted in _counted_expressions(clause):
-                self.depth = max(self.depth, self._expression(expr, (), counted))
-            self._seen.update(_clause_bound_variables(clause))
+            _CLAUSES[clause.__class__](self, clause)
 
-    def _use(self, name: str, local: Tuple[str, ...]) -> None:
-        # Cross-clause references: uses of variables bound by an *earlier*
-        # clause; a list comprehension's own variable is local to it.
-        if name in self._seen and name not in local:
-            self.dependencies += 1
+    def top(self, expr: ast.Expression, counted: bool) -> None:
+        """Walk one top-level expression of a clause.
 
-    def _count(self, name: str) -> None:
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def _expression(
-        self, expr: ast.Expression, local: Tuple[str, ...], counted: bool
-    ) -> int:
-        """Record *expr* and its subtree; return its nesting depth.
-
-        *counted* says whether the subtree sits at a position the predicate
+        *counted* says whether it sits at a position the predicate
         counters count.
         """
-        operators = self.operators
-        if isinstance(expr, ast.Variable):
-            self._use(expr.name, local)
-        elif isinstance(expr, ast.FunctionCall):
-            name = expr.name.lower()
-            self.functions.append(name)
-            if (counted and name == "replace" and len(expr.args) == 3
-                    and isinstance(expr.args[1], ast.Literal)
-                    and expr.args[1].value == ""):
-                self.counts["replace_with_empty"] = True
-        elif isinstance(expr, ast.Binary):
-            operators.append(expr.op)
-            if counted and expr.op in _COUNTED_OPS and (
-                expr.op != "<>" or (isinstance(expr.left, ast.Variable)
-                                    and isinstance(expr.right, ast.Variable))
-            ):
-                self._count(_COUNTED_OPS[expr.op])
-        elif isinstance(expr, ast.Unary):
-            operators.append(expr.op)
-        elif isinstance(expr, ast.IsNull):
-            operators.append("IS NOT NULL" if expr.negated else "IS NULL")
-        elif isinstance(expr, ast.CaseExpression):
-            operators.append("CASE")
-            if counted:
-                self._count("case_count")
-        elif isinstance(expr, ast.ListIndex):
-            operators.append("[]")
-            if counted:
-                self._count("list_index_count")
-        elif isinstance(expr, ast.ListSlice):
-            operators.append("[..]")
-        elif isinstance(expr, ast.ListComprehension):
-            operators.append("list-comprehension")
-            local = local + (expr.variable,)
-        elif isinstance(expr, ast.PatternPredicate):
-            operators.append("pattern-predicate")
-            for name in expr.pattern.variables():
-                self._use(name, local)
-        elif isinstance(expr, ast.CountStar):
-            operators.append("count(*)")
-            if counted:
-                self._count("aggregate_count")
-        depth = 0
-        for child in expr.children():
-            depth = max(depth, self._expression(child, local, counted))
-        return depth + 1
+        depth = _EXPRESSIONS[expr.__class__](self, expr, (), counted)
+        if depth > self.depth:
+            self.depth = depth
+
+    def count(self, name: str) -> None:
+        self.counts[name] = self.counts.get(name, 0) + 1
+
+    def paths(self, patterns: Tuple[ast.PathPattern, ...]) -> List[str]:
+        """Record *patterns*: their shape tags and their property maps (not
+        counted), nodes' maps first.  Returns their variables, repeats
+        included, for :meth:`bind`."""
+        self.patterns += len(patterns)
+        shapes = self.shapes
+        bound: List[str] = []
+        for pattern in patterns:
+            rels = pattern.relationships
+            shapes.append(_PATH_TAGS[min(len(rels), _PATH_CAP)])
+            if pattern.path_variable:
+                shapes.append("named-path")
+                bound.append(pattern.path_variable)
+            for rel in rels:
+                if rel.direction == ast.BOTH:
+                    shapes.append("undirected-rel")
+                if rel.types:
+                    shapes.append("typed-rel")
+            for node in pattern.nodes:
+                if len(node.labels) >= 2:
+                    shapes.append("multi-label-node")
+                elif node.labels:
+                    shapes.append("labeled-node")
+                if node.variable:
+                    bound.append(node.variable)
+                if node.properties is not None:
+                    self.top(node.properties, False)
+            for rel in rels:
+                if rel.variable:
+                    bound.append(rel.variable)
+                if rel.properties is not None:
+                    self.top(rel.properties, False)
+        return bound
+
+    def bind(self, bound: List[str]) -> None:
+        """Count each use in *bound* of a variable an earlier clause bound
+        (reusing one inside a later pattern is a cross-clause dependency,
+        as ``n5`` is in four clauses of Figure 1), then mark them all
+        bound for the clauses after this one."""
+        seen = self.seen
+        for name in bound:
+            if name in seen:
+                self.dependencies += 1
+        seen.update(bound)
+
+    def projection(self, clause: Union[ast.With, ast.Return], keyword: str) -> None:
+        names = self.clause_names
+        names.append(keyword)
+        if clause.distinct:
+            names.append("DISTINCT")
+        if clause.order_by:
+            names.append("ORDER BY")
+        if clause.skip is not None:
+            names.append("SKIP")
+        if clause.limit is not None:
+            names.append("LIMIT")
+        for item in clause.items:
+            self.top(item.expression, True)
+        for order in clause.order_by:
+            self.top(order.expression, False)
+        if clause.skip is not None:
+            self.top(clause.skip, False)
+        if clause.limit is not None:
+            self.top(clause.limit, False)
+
+
+# -- clauses -----------------------------------------------------------------
+#
+# Counted positions (the predicate counters): MATCH and WITH ``WHERE``, the
+# UNWIND expression, WITH and RETURN items and SET values; not ORDER BY,
+# SKIP, LIMIT, pattern property maps, CALL arguments or DELETE targets.
+
+
+def _match(walk: _Walk, clause: ast.Match) -> None:
+    walk.clause_names.append("OPTIONAL MATCH" if clause.optional else "MATCH")
+    bound = walk.paths(clause.patterns)
+    if clause.where is not None:
+        walk.clause_names.append("WHERE")
+        walk.top(clause.where, True)
+    walk.bind(bound)
+
+
+def _create(walk: _Walk, clause: ast.Create) -> None:
+    walk.clause_names.append("CREATE")
+    walk.bind(walk.paths(clause.patterns))
+
+
+def _merge(walk: _Walk, clause: ast.Merge) -> None:
+    walk.clause_names.append("MERGE")
+    walk.bind(walk.paths((clause.pattern,)))
+
+
+def _unwind(walk: _Walk, clause: ast.Unwind) -> None:
+    walk.clause_names.append("UNWIND")
+    walk.top(clause.expression, True)
+    walk.seen.add(clause.alias)
+
+
+def _with(walk: _Walk, clause: ast.With) -> None:
+    walk.projection(clause, "WITH")
+    if clause.where is not None:
+        walk.clause_names.append("WHERE")
+        walk.top(clause.where, True)
+    walk.seen.update(item.output_name() for item in clause.items)
+
+
+def _return(walk: _Walk, clause: ast.Return) -> None:
+    walk.projection(clause, "RETURN")
+    walk.seen.update(item.output_name() for item in clause.items)
+
+
+def _call(walk: _Walk, clause: ast.Call) -> None:
+    walk.clause_names.append("CALL")
+    for arg in clause.args:
+        walk.top(arg, False)
+    walk.seen.update(alias or name for name, alias in clause.yield_items)
+
+
+def _set(walk: _Walk, clause: ast.SetClause) -> None:
+    walk.clause_names.append("SET")
+    for item in clause.items:
+        walk.top(item.value, True)
+
+
+def _delete(walk: _Walk, clause: ast.Delete) -> None:
+    walk.clause_names.append("DETACH DELETE" if clause.detach else "DELETE")
+    for expr in clause.expressions:
+        walk.top(expr, False)
+
+
+def _remove(walk: _Walk, clause: ast.Remove) -> None:
+    walk.clause_names.append("REMOVE")
+
+
+_CLAUSES = {
+    ast.Match: _match,
+    ast.Unwind: _unwind,
+    ast.With: _with,
+    ast.Return: _return,
+    ast.Call: _call,
+    ast.Create: _create,
+    ast.SetClause: _set,
+    ast.Delete: _delete,
+    ast.Remove: _remove,
+    ast.Merge: _merge,
+}
+
+
+# -- expressions -------------------------------------------------------------
+#
+# Each handler records its node, walks its children in ``children()`` order
+# and returns the node's nesting depth (a leaf is 1).  *local* holds the
+# variables of enclosing list comprehensions, which are not cross-clause
+# references; *counted* is the position's predicate-counter flag.
+
+Local = Tuple[str, ...]
+
+
+def _children(walk: _Walk, children, local: Local, counted: bool) -> int:
+    """The deepest of *children* (0 when there are none)."""
+    depth = 0
+    for child in children:
+        child_depth = _EXPRESSIONS[child.__class__](walk, child, local, counted)
+        if child_depth > depth:
+            depth = child_depth
+    return depth
+
+
+def _tagged(operator: Optional[str] = None, counter: Optional[str] = None):
+    """A handler that records *operator*, bumps *counter* at counted
+    positions and walks ``children()``."""
+
+    def handler(walk: _Walk, expr: ast.Expression, local: Local, counted: bool) -> int:
+        if operator is not None:
+            walk.operators.append(operator)
+        if counted and counter is not None:
+            walk.count(counter)
+        return _children(walk, expr.children(), local, counted) + 1
+
+    return handler
+
+
+def _leaf(walk: _Walk, expr: ast.Literal, local: Local, counted: bool) -> int:
+    return 1
+
+
+def _variable(walk: _Walk, expr: ast.Variable, local: Local, counted: bool) -> int:
+    # Cross-clause references: uses of variables bound by an earlier clause.
+    if expr.name in walk.seen and expr.name not in local:
+        walk.dependencies += 1
+    return 1
+
+
+def _subject(walk: _Walk, expr: ast.Expression, local: Local, counted: bool) -> int:
+    """Property access and label predicates: their one child, untagged."""
+    subject = expr.subject
+    return _EXPRESSIONS[subject.__class__](walk, subject, local, counted) + 1
+
+
+def _unary(walk: _Walk, expr: ast.Unary, local: Local, counted: bool) -> int:
+    walk.operators.append(expr.op)
+    operand = expr.operand
+    return _EXPRESSIONS[operand.__class__](walk, operand, local, counted) + 1
+
+
+def _is_null(walk: _Walk, expr: ast.IsNull, local: Local, counted: bool) -> int:
+    walk.operators.append("IS NOT NULL" if expr.negated else "IS NULL")
+    operand = expr.operand
+    return _EXPRESSIONS[operand.__class__](walk, operand, local, counted) + 1
+
+
+def _binary(walk: _Walk, expr: ast.Binary, local: Local, counted: bool) -> int:
+    op = expr.op
+    left = expr.left
+    right = expr.right
+    walk.operators.append(op)
+    if counted and op in _COUNTED_OPS and (
+        op != "<>" or (left.__class__ is ast.Variable
+                       and right.__class__ is ast.Variable)
+    ):
+        walk.count(_COUNTED_OPS[op])
+    depth = _EXPRESSIONS[left.__class__](walk, left, local, counted)
+    other = _EXPRESSIONS[right.__class__](walk, right, local, counted)
+    return (depth if depth > other else other) + 1
+
+
+def _function(walk: _Walk, expr: ast.FunctionCall, local: Local, counted: bool) -> int:
+    name = expr.name.lower()
+    walk.functions.append(name)
+    args = expr.args
+    if (counted and name == "replace" and len(args) == 3
+            and args[1].__class__ is ast.Literal and args[1].value == ""):
+        walk.counts["replace_with_empty"] = True
+    return _children(walk, args, local, counted) + 1
+
+
+def _comprehension(
+    walk: _Walk, expr: ast.ListComprehension, local: Local, counted: bool
+) -> int:
+    walk.operators.append("list-comprehension")
+    # The comprehension's variable is local to all of it, source included.
+    return _children(walk, expr.children(), local + (expr.variable,), counted) + 1
+
+
+def _pattern_predicate(
+    walk: _Walk, expr: ast.PatternPredicate, local: Local, counted: bool
+) -> int:
+    walk.operators.append("pattern-predicate")
+    seen = walk.seen
+    for name in expr.pattern.variables():
+        if name in seen and name not in local:
+            walk.dependencies += 1
+    return 1
+
+
+_EXPRESSIONS = {
+    ast.Literal: _leaf,
+    ast.Variable: _variable,
+    ast.PropertyAccess: _subject,
+    ast.Unary: _unary,
+    ast.Binary: _binary,
+    ast.IsNull: _is_null,
+    ast.FunctionCall: _function,
+    ast.CountStar: _tagged("count(*)", "aggregate_count"),
+    ast.ListLiteral: _tagged(),
+    ast.MapLiteral: _tagged(),
+    ast.ListComprehension: _comprehension,
+    ast.ListIndex: _tagged("[]", "list_index_count"),
+    ast.ListSlice: _tagged("[..]"),
+    ast.CaseExpression: _tagged("CASE", "case_count"),
+    ast.PatternPredicate: _pattern_predicate,
+    ast.LabelsPredicate: _subject,
+}
 
 
 def analyze(query: AnyQuery) -> QueryMetrics:

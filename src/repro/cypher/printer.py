@@ -7,24 +7,11 @@ what the bug reports quote.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Callable, Dict, List
 
 from repro.cypher import ast
 
 __all__ = ["print_expression", "print_pattern", "print_clause", "print_query"]
-
-
-# Operators whose spelling needs a space (keyword operators).
-_KEYWORD_OPS = {
-    "AND",
-    "OR",
-    "XOR",
-    "IN",
-    "STARTS WITH",
-    "ENDS WITH",
-    "CONTAINS",
-    "=~",
-}
 
 
 def _print_literal(value: Any) -> str:
@@ -58,75 +45,130 @@ def _print_literal(value: Any) -> str:
 
 def print_expression(expr: ast.Expression) -> str:
     """Render an expression node to Cypher text."""
-    if isinstance(expr, ast.Literal):
-        return _print_literal(expr.value)
-    if isinstance(expr, ast.Variable):
-        return expr.name
-    if isinstance(expr, ast.PropertyAccess):
-        subject = print_expression(expr.subject)
-        if not isinstance(expr.subject, (ast.Variable, ast.PropertyAccess)):
-            subject = f"({subject})"
-        return f"{subject}.{expr.key}"
-    if isinstance(expr, ast.Unary):
-        operand = print_expression(expr.operand)
-        if expr.op == "NOT":
-            return f"(NOT ({operand}))"
-        return f"({expr.op}({operand}))"
-    if isinstance(expr, ast.Binary):
-        left = print_expression(expr.left)
-        right = print_expression(expr.right)
-        op = expr.op
-        if op in _KEYWORD_OPS and op != "=~":
-            return f"(({left}) {op} ({right}))"
-        return f"(({left}) {op} ({right}))"
-    if isinstance(expr, ast.IsNull):
-        inner = print_expression(expr.operand)
-        keyword = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"(({inner}) {keyword})"
-    if isinstance(expr, ast.FunctionCall):
-        args = ", ".join(print_expression(a) for a in expr.args)
-        distinct = "DISTINCT " if expr.distinct else ""
-        return f"{expr.name}({distinct}{args})"
-    if isinstance(expr, ast.CountStar):
-        return "count(*)"
-    if isinstance(expr, ast.ListLiteral):
-        return "[" + ", ".join(print_expression(item) for item in expr.items) + "]"
-    if isinstance(expr, ast.MapLiteral):
-        inner = ", ".join(
-            f"{key}: {print_expression(value)}" for key, value in expr.items
+    try:
+        printer = _EXPRESSIONS[expr.__class__]
+    except KeyError:
+        raise TypeError(f"cannot print expression of type {type(expr)!r}") from None
+    return printer(expr)
+
+
+# -- expressions: one printer per node class, in ``_EXPRESSIONS`` -----------
+
+
+def _literal(expr: ast.Literal) -> str:
+    return _print_literal(expr.value)
+
+
+def _variable(expr: ast.Variable) -> str:
+    return expr.name
+
+
+def _property(expr: ast.PropertyAccess) -> str:
+    subject = expr.subject
+    text = print_expression(subject)
+    if subject.__class__ is ast.Variable or subject.__class__ is ast.PropertyAccess:
+        return f"{text}.{expr.key}"
+    return f"({text}).{expr.key}"
+
+
+def _unary(expr: ast.Unary) -> str:
+    text = print_expression(expr.operand)
+    if expr.op == "NOT":
+        return f"(NOT ({text}))"
+    return f"({expr.op}({text}))"
+
+
+def _binary(expr: ast.Binary) -> str:
+    left = print_expression(expr.left)
+    right = print_expression(expr.right)
+    return f"(({left}) {expr.op} ({right}))"
+
+
+def _is_null(expr: ast.IsNull) -> str:
+    keyword = "IS NOT NULL" if expr.negated else "IS NULL"
+    return f"(({print_expression(expr.operand)}) {keyword})"
+
+
+def _function(expr: ast.FunctionCall) -> str:
+    args = ", ".join([print_expression(arg) for arg in expr.args])
+    distinct = "DISTINCT " if expr.distinct else ""
+    return f"{expr.name}({distinct}{args})"
+
+
+def _count_star(expr: ast.CountStar) -> str:
+    return "count(*)"
+
+
+def _list(expr: ast.ListLiteral) -> str:
+    return "[" + ", ".join([print_expression(item) for item in expr.items]) + "]"
+
+
+def _map(expr: ast.MapLiteral) -> str:
+    return "{" + ", ".join([
+        f"{key}: {print_expression(value)}" for key, value in expr.items
+    ]) + "}"
+
+
+def _comprehension(expr: ast.ListComprehension) -> str:
+    out = f"[{expr.variable} IN {print_expression(expr.source)}"
+    if expr.where is not None:
+        out += f" WHERE {print_expression(expr.where)}"
+    if expr.projection is not None:
+        out += f" | {print_expression(expr.projection)}"
+    return out + "]"
+
+
+def _index(expr: ast.ListIndex) -> str:
+    return f"({print_expression(expr.subject)})[{print_expression(expr.index)}]"
+
+
+def _slice(expr: ast.ListSlice) -> str:
+    start = print_expression(expr.start) if expr.start is not None else ""
+    end = print_expression(expr.end) if expr.end is not None else ""
+    return f"({print_expression(expr.subject)})[{start}..{end}]"
+
+
+def _case(expr: ast.CaseExpression) -> str:
+    parts: List[str] = ["CASE"]
+    if expr.subject is not None:
+        parts.append(print_expression(expr.subject))
+    for alt in expr.alternatives:
+        parts.append(
+            f"WHEN {print_expression(alt.when)} THEN {print_expression(alt.then)}"
         )
-        return "{" + inner + "}"
-    if isinstance(expr, ast.ListComprehension):
-        out = f"[{expr.variable} IN {print_expression(expr.source)}"
-        if expr.where is not None:
-            out += f" WHERE {print_expression(expr.where)}"
-        if expr.projection is not None:
-            out += f" | {print_expression(expr.projection)}"
-        return out + "]"
-    if isinstance(expr, ast.ListIndex):
-        return f"({print_expression(expr.subject)})[{print_expression(expr.index)}]"
-    if isinstance(expr, ast.ListSlice):
-        start = print_expression(expr.start) if expr.start is not None else ""
-        end = print_expression(expr.end) if expr.end is not None else ""
-        return f"({print_expression(expr.subject)})[{start}..{end}]"
-    if isinstance(expr, ast.CaseExpression):
-        parts: List[str] = ["CASE"]
-        if expr.subject is not None:
-            parts.append(print_expression(expr.subject))
-        for alt in expr.alternatives:
-            parts.append(
-                f"WHEN {print_expression(alt.when)} THEN {print_expression(alt.then)}"
-            )
-        if expr.default is not None:
-            parts.append(f"ELSE {print_expression(expr.default)}")
-        parts.append("END")
-        return "(" + " ".join(parts) + ")"
-    if isinstance(expr, ast.PatternPredicate):
-        return print_pattern(expr.pattern)
-    if isinstance(expr, ast.LabelsPredicate):
-        labels = "".join(f":{label}" for label in expr.labels)
-        return f"({print_expression(expr.subject)}{labels})"
-    raise TypeError(f"cannot print expression of type {type(expr)!r}")
+    if expr.default is not None:
+        parts.append(f"ELSE {print_expression(expr.default)}")
+    parts.append("END")
+    return "(" + " ".join(parts) + ")"
+
+
+def _pattern_predicate(expr: ast.PatternPredicate) -> str:
+    return print_pattern(expr.pattern)
+
+
+def _labels(expr: ast.LabelsPredicate) -> str:
+    labels = "".join(f":{label}" for label in expr.labels)
+    return f"({print_expression(expr.subject)}{labels})"
+
+
+_EXPRESSIONS: Dict[type, Callable[[Any], str]] = {
+    ast.Literal: _literal,
+    ast.Variable: _variable,
+    ast.PropertyAccess: _property,
+    ast.Unary: _unary,
+    ast.Binary: _binary,
+    ast.IsNull: _is_null,
+    ast.FunctionCall: _function,
+    ast.CountStar: _count_star,
+    ast.ListLiteral: _list,
+    ast.MapLiteral: _map,
+    ast.ListComprehension: _comprehension,
+    ast.ListIndex: _index,
+    ast.ListSlice: _slice,
+    ast.CaseExpression: _case,
+    ast.PatternPredicate: _pattern_predicate,
+    ast.LabelsPredicate: _labels,
+}
 
 
 def _print_node_pattern(node: ast.NodePattern) -> str:
@@ -192,60 +234,93 @@ def _print_tail(clause) -> str:
 
 def print_clause(clause: ast.Clause) -> str:
     """Render a single clause to Cypher text."""
-    if isinstance(clause, ast.Match):
-        keyword = "OPTIONAL MATCH" if clause.optional else "MATCH"
-        patterns = ", ".join(print_pattern(p) for p in clause.patterns)
-        text = f"{keyword} {patterns}"
-        if clause.where is not None:
-            text += f" WHERE {print_expression(clause.where)}"
-        return text
-    if isinstance(clause, ast.Unwind):
-        return f"UNWIND {print_expression(clause.expression)} AS {clause.alias}"
-    if isinstance(clause, ast.With):
-        text = "WITH " + _print_projection(clause.items, clause.distinct)
-        text += _print_tail(clause)
-        if clause.where is not None:
-            text += f" WHERE {print_expression(clause.where)}"
-        return text
-    if isinstance(clause, ast.Return):
-        text = "RETURN " + _print_projection(clause.items, clause.distinct)
-        text += _print_tail(clause)
-        return text
-    if isinstance(clause, ast.Call):
-        args = ", ".join(print_expression(a) for a in clause.args)
-        text = f"CALL {clause.procedure}({args})"
-        if clause.yield_items:
-            yields = ", ".join(
-                name + (f" AS {alias}" if alias else "")
-                for name, alias in clause.yield_items
-            )
-            text += f" YIELD {yields}"
-        return text
-    if isinstance(clause, ast.Create):
-        patterns = ", ".join(print_pattern(p) for p in clause.patterns)
-        return f"CREATE {patterns}"
-    if isinstance(clause, ast.SetClause):
-        items = ", ".join(
-            f"{item.subject}.{item.key} = {print_expression(item.value)}"
-            for item in clause.items
+    try:
+        printer = _CLAUSES[clause.__class__]
+    except KeyError:
+        raise TypeError(f"cannot print clause of type {type(clause)!r}") from None
+    return printer(clause)
+
+
+# -- clauses: one printer per clause class, in ``_CLAUSES`` ------------------
+
+
+def _match(clause: ast.Match) -> str:
+    keyword = "OPTIONAL MATCH" if clause.optional else "MATCH"
+    patterns = ", ".join([print_pattern(p) for p in clause.patterns])
+    if clause.where is not None:
+        return f"{keyword} {patterns} WHERE {print_expression(clause.where)}"
+    return f"{keyword} {patterns}"
+
+
+def _unwind(clause: ast.Unwind) -> str:
+    return f"UNWIND {print_expression(clause.expression)} AS {clause.alias}"
+
+
+def _with(clause: ast.With) -> str:
+    text = "WITH " + _print_projection(clause.items, clause.distinct)
+    text += _print_tail(clause)
+    if clause.where is not None:
+        text += f" WHERE {print_expression(clause.where)}"
+    return text
+
+
+def _return(clause: ast.Return) -> str:
+    return ("RETURN " + _print_projection(clause.items, clause.distinct)
+            + _print_tail(clause))
+
+
+def _call(clause: ast.Call) -> str:
+    args = ", ".join([print_expression(a) for a in clause.args])
+    text = f"CALL {clause.procedure}({args})"
+    if clause.yield_items:
+        yields = ", ".join(
+            name + (f" AS {alias}" if alias else "")
+            for name, alias in clause.yield_items
         )
-        return f"SET {items}"
-    if isinstance(clause, ast.Delete):
-        keyword = "DETACH DELETE" if clause.detach else "DELETE"
-        return f"{keyword} " + ", ".join(
-            print_expression(e) for e in clause.expressions
-        )
-    if isinstance(clause, ast.Remove):
-        items = []
-        for item in clause.items:
-            if item.key is not None:
-                items.append(f"{item.subject}.{item.key}")
-            else:
-                items.append(f"{item.subject}:{item.label}")
-        return "REMOVE " + ", ".join(items)
-    if isinstance(clause, ast.Merge):
-        return f"MERGE {print_pattern(clause.pattern)}"
-    raise TypeError(f"cannot print clause of type {type(clause)!r}")
+        text += f" YIELD {yields}"
+    return text
+
+
+def _create(clause: ast.Create) -> str:
+    return "CREATE " + ", ".join([print_pattern(p) for p in clause.patterns])
+
+
+def _set(clause: ast.SetClause) -> str:
+    return "SET " + ", ".join([
+        f"{item.subject}.{item.key} = {print_expression(item.value)}"
+        for item in clause.items
+    ])
+
+
+def _delete(clause: ast.Delete) -> str:
+    keyword = "DETACH DELETE" if clause.detach else "DELETE"
+    return f"{keyword} " + ", ".join([print_expression(e) for e in clause.expressions])
+
+
+def _remove(clause: ast.Remove) -> str:
+    return "REMOVE " + ", ".join([
+        f"{item.subject}.{item.key}" if item.key is not None
+        else f"{item.subject}:{item.label}"
+        for item in clause.items
+    ])
+
+
+def _merge(clause: ast.Merge) -> str:
+    return f"MERGE {print_pattern(clause.pattern)}"
+
+
+_CLAUSES: Dict[type, Callable[[Any], str]] = {
+    ast.Match: _match,
+    ast.Unwind: _unwind,
+    ast.With: _with,
+    ast.Return: _return,
+    ast.Call: _call,
+    ast.Create: _create,
+    ast.SetClause: _set,
+    ast.Delete: _delete,
+    ast.Remove: _remove,
+    ast.Merge: _merge,
+}
 
 
 def print_query(query) -> str:
@@ -253,4 +328,4 @@ def print_query(query) -> str:
     if isinstance(query, ast.UnionQuery):
         keyword = "UNION ALL" if query.all else "UNION"
         return f"{print_query(query.left)} {keyword} {print_query(query.right)}"
-    return " ".join(print_clause(clause) for clause in query.clauses)
+    return " ".join([print_clause(clause) for clause in query.clauses])

@@ -20,7 +20,7 @@ import re
 from typing import Any, Dict, Optional
 
 from repro.cypher import ast
-from repro.cypher.functions import FunctionError, call_function, is_aggregate
+from repro.cypher.functions import call_function, is_aggregate
 from repro.engine.envelope import ENVELOPE
 from repro.engine.errors import CypherRuntimeError, CypherTypeError
 from repro.graph import values as V
@@ -70,10 +70,9 @@ class Evaluator:
         if PROBE.on:
             self.profile_calls += 1
         handler = _DISPATCH.get(expr.__class__)
-        if handler is not None:
-            value = handler(self, expr, row)
-        else:
-            value = self._eval_slow(expr, row)
+        if handler is None:
+            raise CypherRuntimeError(f"cannot evaluate {type(expr).__name__}")
+        value = handler(self, expr, row)
         if (
             value.__class__ is tuple
             and len(value) == 2
@@ -87,55 +86,6 @@ class Evaluator:
         return V.coerce_to_boolean(self.evaluate(expr, row))
 
     # -- internals ----------------------------------------------------
-
-    def _resolve(self, value: Any) -> Any:
-        """Resolve the startNode/endNode node-reference convention."""
-        if isinstance(value, tuple) and len(value) == 2 and value[0] == "__node_ref__":
-            return self.graph.node(value[1])
-        return value
-
-    def _eval(self, expr: ast.Expression, row: Dict[str, Any]) -> Any:
-        # Exact-type dispatch covers every concrete AST node; subclasses (if
-        # any appear) fall back to the isinstance chain below.
-        handler = _DISPATCH.get(expr.__class__)
-        if handler is not None:
-            return handler(self, expr, row)
-        return self._eval_slow(expr, row)
-
-    def _eval_slow(self, expr: ast.Expression, row: Dict[str, Any]) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Variable):
-            return self._eval_variable(expr, row)
-        if isinstance(expr, ast.PropertyAccess):
-            return self._property(expr, row)
-        if isinstance(expr, ast.Unary):
-            return self._unary(expr, row)
-        if isinstance(expr, ast.Binary):
-            return self._binary(expr, row)
-        if isinstance(expr, ast.IsNull):
-            return self._eval_is_null(expr, row)
-        if isinstance(expr, ast.FunctionCall):
-            return self._eval_function(expr, row)
-        if isinstance(expr, ast.CountStar):
-            raise CypherRuntimeError("count(*) not allowed in this context")
-        if isinstance(expr, ast.ListLiteral):
-            return self._eval_list_literal(expr, row)
-        if isinstance(expr, ast.MapLiteral):
-            return self._eval_map_literal(expr, row)
-        if isinstance(expr, ast.ListComprehension):
-            return self._comprehension(expr, row)
-        if isinstance(expr, ast.ListIndex):
-            return self._index(expr, row)
-        if isinstance(expr, ast.ListSlice):
-            return self._slice(expr, row)
-        if isinstance(expr, ast.CaseExpression):
-            return self._case(expr, row)
-        if isinstance(expr, ast.PatternPredicate):
-            return self._pattern_predicate(expr, row)
-        if isinstance(expr, ast.LabelsPredicate):
-            return self._eval_labels_predicate(expr, row)
-        raise CypherRuntimeError(f"cannot evaluate {type(expr).__name__}")
 
     def _eval_literal(self, expr: ast.Literal, row: Dict[str, Any]) -> Any:
         return expr.value
@@ -155,10 +105,7 @@ class Evaluator:
                 f"aggregate {expr.name}() not allowed in this context"
             )
         args = [self.evaluate(arg, row) for arg in expr.args]
-        try:
-            return call_function(expr.name, args)
-        except FunctionError:
-            raise
+        return call_function(expr.name, args)
 
     def _eval_count_star(self, expr: ast.CountStar, row: Dict[str, Any]) -> Any:
         raise CypherRuntimeError("count(*) not allowed in this context")
@@ -448,8 +395,8 @@ _BINOPS = {
     "=~": Evaluator._op_regex,
 }
 
-# Exact-type handler table for Evaluator._eval; ordering is irrelevant here,
-# unlike the isinstance chain it replaces, because lookup is by concrete type.
+# Exact-type handler table for Evaluator.evaluate: one entry per concrete
+# expression class (a class without one cannot be evaluated).
 _DISPATCH = {
     ast.Literal: Evaluator._eval_literal,
     ast.Variable: Evaluator._eval_variable,

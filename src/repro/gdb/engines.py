@@ -193,6 +193,25 @@ class GraphDatabase:
         # features).
         self._query_cache: "OrderedDict[str, Any]" = OrderedDict()
 
+    @property
+    def faults(self) -> List[Fault]:
+        """The injected faults.
+
+        Assigning a new list also fixes the order in which ``execute``
+        tries them: crash/hang/exception faults abort execution before any
+        result is produced, so they take precedence over state faults,
+        which in turn precede logic faults (both fire post-execution).
+        The sort is stable, so catalog order breaks ties.
+        """
+        return self._faults
+
+    @faults.setter
+    def faults(self, faults: List[Fault]) -> None:
+        self._faults = faults
+        self._firing_order = sorted(
+            faults, key=lambda fault: (fault.is_logic, fault.is_state)
+        )
+
     # -- lifecycle ------------------------------------------------------
 
     def restart(self) -> None:
@@ -370,13 +389,7 @@ class GraphDatabase:
 
         fired: Optional[Fault] = None
         if self.faults_enabled:
-            # Crash/hang/exception faults abort execution before any result
-            # is produced, so they take precedence over state faults, which
-            # in turn precede logic faults (both fire post-execution).
-            ordered = sorted(
-                self.faults, key=lambda fault: (fault.is_logic, fault.is_state)
-            )
-            for fault in ordered:
+            for fault in self._firing_order:  # see the ``faults`` property
                 if fault.triggers(
                     features, self.queries_since_restart, self.gate_scale
                 ):

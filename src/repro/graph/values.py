@@ -256,16 +256,23 @@ def equivalent(left: Any, right: Any) -> bool:
 
 def equivalence_key(value: Any):
     """Return a hashable key such that two values share a key iff they are
-    equivalent in the DISTINCT sense."""
+    equivalent in the DISTINCT sense.
+
+    Numbers key by their exact value: an integer by itself and an integral
+    float by ``int(value)``, so ``1`` ≡ ``1.0`` and ``0.0`` ≡ ``-0.0`` while
+    integers beyond 2**53, which ``=`` tells apart, stay apart.  NaN has its
+    own key, and so do ``true`` and ``false``.
+    """
     if value is None:
         return ("null",)
     if isinstance(value, bool):
         return ("bool", value)
-    if _is_number(value):
-        if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, int):
+        return ("num", value)
+    if isinstance(value, float):
+        if value != value:
             return ("nan",)
-        # 1 and 1.0 are equivalent in Cypher.
-        return ("num", float(value), value == int(value) if not math.isinf(value) else False)
+        return ("num", int(value) if value.is_integer() else value)
     if isinstance(value, str):
         return ("str", value)
     if isinstance(value, list):

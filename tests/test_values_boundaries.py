@@ -1,8 +1,12 @@
 """Boundary cases of the value model that bit us during development."""
 
+import pytest
 
-
+from repro.core.oracle import check_result
+from repro.engine.binding import ResultSet
+from repro.gdb import EngineOptions, create_engine
 from repro.graph import values as V
+from repro.graph.model import PropertyGraph
 
 
 class TestFloatBoundaries:
@@ -78,3 +82,64 @@ class TestStringEdgeCases:
     def test_unicode_strings(self):
         assert V.ternary_equals("héllo", "héllo") is True
         assert V.ternary_compare("a", "é") == -1
+
+
+class TestLargeIntegerEquivalence:
+    """Integers above 2**53 that ``=`` tells apart stay apart in DISTINCT,
+    grouping and the oracle's bag comparison (keying them through
+    ``float`` merged them)."""
+
+    BIG = 2**53
+    DISTINCT = "UNWIND [9007199254740992, 9007199254740993] AS x RETURN DISTINCT x"
+    GROUPED = ("UNWIND [9007199254740992, 9007199254740993, 9007199254740993] "
+               "AS x RETURN x, count(*) AS n")
+
+    def test_keys_follow_equality(self):
+        assert V.ternary_equals(self.BIG, self.BIG + 1) is False
+        assert not V.equivalent(self.BIG, self.BIG + 1)
+        assert not V.equivalent(float(self.BIG), self.BIG + 1)
+        assert V.equivalent(float(self.BIG), self.BIG)
+        assert not V.equivalent([self.BIG], [self.BIG + 1])
+
+    def test_merges_and_separations_are_kept(self):
+        assert V.equivalent(1, 1.0)
+        assert V.equivalent(0.0, -0.0)
+        assert V.equivalent(-3, -3.0)
+        assert V.equivalent(float("nan"), float("nan"))
+        assert not V.equivalent(True, 1)
+        assert not V.equivalent(False, 0.0)
+        assert not V.equivalent(float("nan"), 0)
+        assert not V.equivalent(1.5, 1)
+        assert not V.equivalent(float("inf"), float("-inf"))
+        assert V.equivalent(float("inf"), float("inf"))
+        assert V.equivalent({"a": 1}, {"a": 1.0})
+
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    def test_distinct_keeps_both(self, mode):
+        rows = _engine(mode).execute(self.DISTINCT).rows
+        assert rows == [(self.BIG,), (self.BIG + 1,)]
+
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    def test_grouping_keeps_both(self, mode):
+        rows = _engine(mode).execute(self.GROUPED).rows
+        assert sorted(rows) == [(self.BIG, 1), (self.BIG + 1, 2)]
+
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    def test_union_keeps_both(self, mode):
+        rows = _engine(mode).execute(
+            "RETURN 9007199254740992 AS x UNION RETURN 9007199254740993 AS x"
+        ).rows
+        assert sorted(rows) == [(self.BIG,), (self.BIG + 1,)]
+
+    def test_oracle_flags_a_perturbed_large_integer(self):
+        expected = ResultSet(["v"], [(2**60,)])
+        assert not check_result(expected, ResultSet(["v"], [(2**60 + 3,)])).passed
+        assert check_result(expected, ResultSet(["v"], [(2**60,)])).passed
+        assert check_result(expected, ResultSet(["v"], [(float(2**60),)])).passed
+
+
+def _engine(mode):
+    engine = create_engine("neo4j", options=EngineOptions(
+        execution_mode=mode, faults_enabled=False))
+    engine.load_graph(PropertyGraph())
+    return engine
