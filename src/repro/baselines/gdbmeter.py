@@ -60,13 +60,11 @@ def partition_query(query: AnyQuery) -> Optional[List[AnyQuery]]:
     # (DISTINCT, LIMIT/SKIP, aggregation) and under OPTIONAL matching.
     # GDBMeter's generator avoids those constructs; when replaying foreign
     # queries the oracle is simply inapplicable.
-    from repro.engine.evaluator import has_aggregate
-
     for clause in query.clauses[target_index:]:
         if isinstance(clause, (ast.With, ast.Return)):
             if clause.distinct or clause.limit is not None or clause.skip is not None:
                 return None
-            if any(has_aggregate(item.expression) for item in clause.items):
+            if any(item.aggregated for item in clause.items):
                 return None
 
     def replace_where(predicate: ast.Expression) -> ast.Query:

@@ -29,7 +29,6 @@ from repro.baselines.common import (
 )
 from repro.runtime.results import BugReport, CampaignResult
 from repro.cypher import ast
-from repro.engine.evaluator import has_aggregate
 from repro.gdb.engines import GraphDatabase
 from repro.graph.model import PropertyGraph
 from repro.runtime.protocol import SessionPolicy
@@ -55,7 +54,7 @@ def _monotonicity_applicable(query: AnyQuery) -> bool:
                 return False
             if clause.distinct:
                 return False
-            if any(has_aggregate(item.expression) for item in clause.items):
+            if any(item.aggregated for item in clause.items):
                 return False
     return True
 

@@ -92,8 +92,10 @@ class GQSTester(TesterProtocol):
         rng: random.Random,
         result: CampaignResult,
     ) -> Judgement:
-        """Step 4: execute and validate against the established ground truth."""
-        query_text = synthesis.query.text
+        """Step 4: execute and validate against the established ground truth.
+
+        The query is printed only when a report needs its text.
+        """
         result.sim_seconds += engine.cost_of(synthesis.query)
 
         report: Optional[BugReport] = None
@@ -108,7 +110,7 @@ class GQSTester(TesterProtocol):
                 engine=engine.name,
                 kind="error",
                 detail=f"{type(exc).__name__}: {exc}",
-                query_text=query_text,
+                query_text=synthesis.query.text,
                 fault_id=fault.fault_id if fault else None,
                 sim_time=result.sim_seconds,
                 n_steps=synthesis.n_steps,
@@ -122,7 +124,7 @@ class GQSTester(TesterProtocol):
                     engine=engine.name,
                     kind="logic",
                     detail=verdict.reason,
-                    query_text=query_text,
+                    query_text=synthesis.query.text,
                     fault_id=fault.fault_id if fault else None,
                     sim_time=result.sim_seconds,
                     n_steps=synthesis.n_steps,
@@ -137,7 +139,7 @@ class GQSTester(TesterProtocol):
             return {
                 "fault_id": report.fault_id,
                 "engine": engine.name,
-                "query_text": query_text,
+                "query_text": report.query_text,
                 "n_steps": synthesis.n_steps,
                 "patterns": metrics.patterns,
                 "depth": metrics.expression_depth,

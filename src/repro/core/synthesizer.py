@@ -852,7 +852,7 @@ class QuerySynthesizer:
         order_by: Tuple[ast.OrderItem, ...] = ()
         if rng.random() < cfg.order_by_probability:
             item = rng.choice(items)
-            column = item.output_name()
+            column = item.column
             order_by = (ast.OrderItem(ast.Variable(column), rng.random() < 0.5),)
 
         limit = None
@@ -893,7 +893,7 @@ class QuerySynthesizer:
         if rng.random() < cfg.order_by_probability:
             item = rng.choice(items)
             order_by = (
-                ast.OrderItem(ast.Variable(item.output_name()), rng.random() < 0.5),
+                ast.OrderItem(ast.Variable(item.column), rng.random() < 0.5),
             )
         limit = None
         if rng.random() < cfg.limit_probability and model.multiplier > 0:

@@ -241,12 +241,12 @@ def _with(walk: _Walk, clause: ast.With) -> None:
     if clause.where is not None:
         walk.clause_names.append("WHERE")
         walk.top(clause.where, True)
-    walk.seen.update(item.output_name() for item in clause.items)
+    walk.seen.update(item.column for item in clause.items)
 
 
 def _return(walk: _Walk, clause: ast.Return) -> None:
     walk.projection(clause, "RETURN")
-    walk.seen.update(item.output_name() for item in clause.items)
+    walk.seen.update(item.column for item in clause.items)
 
 
 def _call(walk: _Walk, clause: ast.Call) -> None:

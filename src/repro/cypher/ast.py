@@ -396,8 +396,9 @@ class ProjectionItem:
     expression: Expression
     alias: Optional[str] = None
 
-    def output_name(self) -> str:
-        """The column name this item produces."""
+    @cached_property
+    def column(self) -> str:
+        """The column name this item produces, printed at most once."""
         if self.alias:
             return self.alias
         if isinstance(self.expression, Variable):
@@ -405,6 +406,13 @@ class ProjectionItem:
         from repro.cypher.printer import print_expression
 
         return print_expression(self.expression)
+
+    @cached_property
+    def aggregated(self) -> bool:
+        """Whether the expression calls an aggregate function anywhere."""
+        from repro.engine.evaluator import has_aggregate  # imports this module
+
+        return has_aggregate(self.expression)
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,8 @@ class Executor:
         self, clause: Union[ast.With, ast.Return], table: BindingTable, is_with: bool
     ) -> BindingTable:
         items = clause.items
-        aggregated = any(has_aggregate(item.expression) for item in items)
-        columns = [item.output_name() for item in items]
+        aggregated = any(item.aggregated for item in items)
+        columns = [item.column for item in items]
         if len(set(columns)) != len(columns):
             raise CypherSyntaxError("duplicate column name in projection")
 
@@ -292,11 +292,9 @@ class Executor:
     def _project_aggregated(
         self, items: Sequence[ast.ProjectionItem], table: BindingTable
     ) -> BindingTable:
-        columns = [item.output_name() for item in items]
+        columns = [item.column for item in items]
         group_items = [
-            (col, item)
-            for col, item in zip(columns, items)
-            if not has_aggregate(item.expression)
+            (col, item) for col, item in zip(columns, items) if not item.aggregated
         ]
 
         groups: Dict[tuple, Dict[str, Any]] = {}
@@ -319,7 +317,7 @@ class Executor:
         for bucket in groups.values():
             out_row: Row = {}
             for col, item in zip(columns, items):
-                if has_aggregate(item.expression):
+                if item.aggregated:
                     out_row[col] = self._eval_aggregate_expr(
                         item.expression, bucket["rows"]
                     )

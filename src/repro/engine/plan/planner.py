@@ -37,7 +37,6 @@ from repro.cypher import ast
 from repro.engine.binding import ResultSet
 from repro.engine.envelope import ENVELOPE
 from repro.engine.errors import CypherSyntaxError
-from repro.engine.evaluator import has_aggregate
 from repro.engine.plan.compiler import compile_expr
 from repro.engine.plan.operators import (
     CallOp,
@@ -265,8 +264,8 @@ def _compile_project(
 ) -> Optional[Tuple[ProjectOp, List[str], Dict[str, str]]]:
     """Compile a projection clause; None signals duplicate output columns."""
     items = clause.items
-    aggregated = any(has_aggregate(item.expression) for item in items)
-    out_columns = [item.output_name() for item in items]
+    aggregated = any(item.aggregated for item in items)
+    out_columns = [item.column for item in items]
     if len(set(out_columns)) != len(out_columns):
         return None
 
@@ -279,9 +278,7 @@ def _compile_project(
         agg_items = [
             (
                 col,
-                compile_aggregate(item.expression)
-                if has_aggregate(item.expression)
-                else None,
+                compile_aggregate(item.expression) if item.aggregated else None,
             )
             for col, item in zip(out_columns, items)
         ]

@@ -186,11 +186,12 @@ class GraphDatabase:
         self._plan_cache = PlanCache()
         self._plan_profile: Dict[str, int] = {}
         self._op_profile = OperatorProfile()
-        # parse_query and extract_features are pure functions of the query
-        # text (ASTs are never mutated after construction), so repeated
-        # texts — replays, differential runs, cache-warm campaigns — skip
-        # the parse and analysis walks entirely.  Maps text -> (tree,
-        # features).
+        # The parse cache of *text* inputs: parse_query and extract_features
+        # are pure functions of the text (ASTs are never mutated after
+        # construction), so a repeated text skips both.  Maps text ->
+        # (tree, features).  A tree input bypasses it: its features come
+        # from the facts the tree caches, so an interpreted engine never
+        # prints a tree.
         self._query_cache: "OrderedDict[str, Any]" = OrderedDict()
 
     @property
@@ -291,8 +292,9 @@ class GraphDatabase:
         """Execute *query* (a tree or its text); raises CypherError
         subclasses on failure.
 
-        A tree is keyed by its ``text``, printed once per tree however
-        many engines run it.
+        An interpreted engine never prints a tree.  Compiled and dual
+        engines key plans by the tree's ``text``, printed once per tree
+        however many engines run it.
         """
         if not PROBE.on:
             return self._execute_guarded(query)
@@ -365,13 +367,11 @@ class GraphDatabase:
             )
 
         if isinstance(query, str):
-            text = query
-            entry = self._query_cache.get(text)
-            tree = entry[0] if entry is not None else parse_query(text)
+            entry = self._query_cache.get(query)
+            tree = entry[0] if entry is not None else parse_query(query)
         else:
+            entry = None
             tree = query
-            text = query.text
-            entry = self._query_cache.get(text)
 
         self.queries_since_restart += 1
         self.total_queries += 1
@@ -382,9 +382,10 @@ class GraphDatabase:
             features = entry[1]
         else:
             features = extract_features(tree)
-            self._query_cache[text] = (tree, features)
-            while len(self._query_cache) > 1024:
-                self._query_cache.popitem(last=False)
+            if isinstance(query, str):
+                self._query_cache[query] = (tree, features)
+                while len(self._query_cache) > 1024:
+                    self._query_cache.popitem(last=False)
         self._check_dialect_support(features)
 
         fired: Optional[Fault] = None
@@ -411,7 +412,7 @@ class GraphDatabase:
         )
 
         try:
-            correct = self._evaluate_reference(tree, text)
+            correct = self._evaluate_reference(tree, query)
         except CypherTypeError:
             if self.dialect.lenient_type_errors:
                 # Engines like Memgraph coerce runtime type mismatches into
@@ -434,11 +435,14 @@ class GraphDatabase:
 
     # -- execution modes ---------------------------------------------------
 
-    def _evaluate_reference(self, tree: AnyQuery, text: str) -> ResultSet:
+    def _evaluate_reference(self, tree: AnyQuery, query: AnyQuery) -> ResultSet:
         """Compute the correct answer via the configured execution mode."""
         mode = self.execution_mode
         if mode == "interpreted":
             return self._executor.execute(tree)
+        # Plans are keyed by exact query text, so a tree is printed here,
+        # once however many engines run it.
+        text = query if isinstance(query, str) else tree.text
         if mode == "compiled":
             # Plan build and execution share the try in _execute, so a
             # CypherError raised either way surfaces identically.

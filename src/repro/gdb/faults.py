@@ -174,6 +174,15 @@ def _flatten(query: AnyQuery) -> List[ast.Query]:
     return [query]
 
 
+_CONVERSIONS = frozenset({
+    "tointeger", "tofloat", "toboolean", "tostring",
+    "tointegerornull", "tofloatornull", "tobooleanornull", "tostringornull",
+})
+_AGGREGATES = frozenset(
+    {"count", "sum", "avg", "min", "max", "collect", "stdev", "stdevp"}
+)
+
+
 def extract_features(query: AnyQuery) -> QueryFeatures:
     """Compute the trigger-relevant features of *query*."""
     facts = query.facts
@@ -186,13 +195,8 @@ def extract_features(query: AnyQuery) -> QueryFeatures:
         **facts.counts,
     )
 
-    conversions = {
-        "tointeger", "tofloat", "toboolean", "tostring",
-        "tointegerornull", "tofloatornull", "tobooleanornull", "tostringornull",
-    }
-    aggregates = {"count", "sum", "avg", "min", "max", "collect", "stdev", "stdevp"}
-    features.conversion_functions = sum(1 for f in funcs if f in conversions)
-    features.aggregate_count += sum(1 for f in funcs if f in aggregates)
+    features.conversion_functions = sum(1 for f in funcs if f in _CONVERSIONS)
+    features.aggregate_count += sum(1 for f in funcs if f in _AGGREGATES)
 
     for sub in _flatten(query):
         saw_match = False

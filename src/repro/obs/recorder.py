@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.runtime.results import BugReport
 
@@ -65,22 +66,58 @@ def _execute_side(
     dialect); the *actual* side replays the recorded fault configuration and
     session state.  Both are pure functions of the bundle contents.
     """
+    with _parked_probe():
+        return _execute_side_unprobed(
+            bundle, faults_enabled=faults_enabled, queries=_parse_queries(bundle)
+        )
+
+
+def _execute_both_sides(bundle: Dict[str, Any]) -> Tuple[Dict, Dict]:
+    """The (expected, actual) outcomes, both run on one parse of the text."""
+    with _parked_probe():
+        queries = _parse_queries(bundle)
+        return (
+            _execute_side_unprobed(bundle, faults_enabled=False, queries=queries),
+            _execute_side_unprobed(bundle, faults_enabled=True, queries=queries),
+        )
+
+
+@contextmanager
+def _parked_probe() -> Iterator[None]:
+    """Park the probe: replica work must not leak into the campaign's own
+    metrics stream."""
     from repro.obs.metrics import NULL_REGISTRY
     from repro.obs.probe import PROBE
     from repro.obs.trace import NULL_TRACER
 
-    # Replica executions must not leak into the campaign's own metrics
-    # stream, so the probe is parked while the replay runs.
     previous = (PROBE.metrics, PROBE.tracer, PROBE.on)
     PROBE.metrics, PROBE.tracer, PROBE.on = NULL_REGISTRY, NULL_TRACER, False
     try:
-        return _execute_side_unprobed(bundle, faults_enabled=faults_enabled)
+        yield
     finally:
         PROBE.metrics, PROBE.tracer, PROBE.on = previous
 
 
+def _parse_queries(bundle: Dict[str, Any]) -> List[Any]:
+    """The bundle's statements (or its one query), each parsed once.
+
+    A text that does not parse stays text: the replica engine then raises
+    exactly what it raises for that text, at the statement that holds it.
+    """
+    from repro.cypher.parser import parse_query
+    from repro.engine.errors import CypherError
+
+    queries: List[Any] = []
+    for text in bundle.get("statements") or [bundle["query"]]:
+        try:
+            queries.append(parse_query(text))
+        except (CypherError, RecursionError):
+            queries.append(text)
+    return queries
+
+
 def _execute_side_unprobed(
-    bundle: Dict[str, Any], *, faults_enabled: bool
+    bundle: Dict[str, Any], *, faults_enabled: bool, queries: List[Any]
 ) -> Dict[str, Any]:
     from repro.engine.errors import CypherError, DatabaseCrash, ResourceExhausted
     from repro.gdb.engines import EngineOptions, create_engine
@@ -109,7 +146,7 @@ def _execute_side_unprobed(
         from repro.synth.state.oracle import state_summary
 
         last_result = None
-        for index, statement in enumerate(statements):
+        for index, statement in enumerate(queries):
             try:
                 last_result = engine.execute(statement)
             except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
@@ -140,7 +177,7 @@ def _execute_side_unprobed(
         # recorded query, so session-gated faults (§5.4.4) refire.
         engine.queries_since_restart = int(bundle["session_queries"]) - 1
     try:
-        result = engine.execute(bundle["query"])
+        result = engine.execute(queries[0])
     except (DatabaseCrash, ResourceExhausted, CypherError) as exc:
         return {
             "error": f"{type(exc).__name__}: {exc}",
@@ -250,8 +287,7 @@ class FlightRecorder:
         # Record-time self-replay: the stored expected/actual are produced
         # by the exact procedure `repro replay` re-runs, so a bundle is
         # reproducible by construction.
-        bundle["expected"] = _execute_side(bundle, faults_enabled=False)
-        bundle["actual"] = _execute_side(bundle, faults_enabled=True)
+        bundle["expected"], bundle["actual"] = _execute_both_sides(bundle)
         bundle["discrepant"] = bundle["expected"] != bundle["actual"]
 
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -370,6 +406,4 @@ def replay_bundle(source: Union[str, Path, Dict[str, Any]]) -> ReplayOutcome:
     bundle = (
         source if isinstance(source, dict) else load_bundle(source)
     )
-    expected = _execute_side(bundle, faults_enabled=False)
-    actual = _execute_side(bundle, faults_enabled=True)
-    return ReplayOutcome(bundle, expected, actual)
+    return ReplayOutcome(bundle, *_execute_both_sides(bundle))

@@ -45,7 +45,8 @@ class _Round:
 
     model: StateModel
     initial_graph: Any                       # pristine PropertyGraph
-    statements: List[str] = field(default_factory=list)
+    # The trees executed so far; printed only when a bundle records them.
+    statements: List[Any] = field(default_factory=list)
     poisoned: bool = False
 
 
@@ -97,9 +98,8 @@ class StatefulGQSTester(GQSTester):
         result: CampaignResult,
     ) -> Judgement:
         round_ = self._round
-        query_text = synthesis.text
         result.sim_seconds += engine.cost_of(synthesis.query)
-        round_.statements.append(query_text)
+        round_.statements.append(synthesis.query)
 
         report: Optional[BugReport] = None
         try:
@@ -114,7 +114,7 @@ class StatefulGQSTester(GQSTester):
                 engine=engine.name,
                 kind="error",
                 detail=f"{type(exc).__name__}: {exc}",
-                query_text=query_text,
+                query_text=synthesis.text,
                 fault_id=fault.fault_id if fault else None,
                 sim_time=result.sim_seconds,
                 n_steps=synthesis.n_steps,
@@ -138,7 +138,7 @@ class StatefulGQSTester(GQSTester):
                         engine=engine.name,
                         kind="state",
                         detail=divergence,
-                        query_text=query_text,
+                        query_text=synthesis.text,
                         fault_id=fault.fault_id if fault else None,
                         sim_time=result.sim_seconds,
                         n_steps=synthesis.n_steps,
@@ -152,7 +152,7 @@ class StatefulGQSTester(GQSTester):
                         engine=engine.name,
                         kind="logic",
                         detail=verdict.reason,
-                        query_text=query_text,
+                        query_text=synthesis.text,
                         fault_id=fault.fault_id if fault else None,
                         sim_time=result.sim_seconds,
                         n_steps=synthesis.n_steps,
@@ -170,7 +170,7 @@ class StatefulGQSTester(GQSTester):
             return {
                 "fault_id": report.fault_id,
                 "engine": engine.name,
-                "query_text": query_text,
+                "query_text": report.query_text,
                 "n_steps": synthesis.n_steps,
                 "patterns": metrics.patterns,
                 "depth": metrics.expression_depth,
@@ -196,6 +196,6 @@ class StatefulGQSTester(GQSTester):
         if round_ is None or not round_.statements:
             return None
         return {
-            "statements": list(round_.statements),
+            "statements": [query.text for query in round_.statements],
             "graph": round_.initial_graph,
         }

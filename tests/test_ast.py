@@ -58,15 +58,15 @@ class TestValidation:
 class TestProjectionItemNames:
     def test_alias_wins(self):
         item = ast.ProjectionItem(ast.Variable("n"), "alias")
-        assert item.output_name() == "alias"
+        assert item.column == "alias"
 
     def test_bare_variable_name(self):
         item = ast.ProjectionItem(ast.Variable("n"))
-        assert item.output_name() == "n"
+        assert item.column == "n"
 
     def test_expression_renders(self):
         item = ast.ProjectionItem(ast.PropertyAccess(ast.Variable("n"), "x"))
-        assert item.output_name() == "n.x"
+        assert item.column == "n.x"
 
 
 class TestWalkExpressions:

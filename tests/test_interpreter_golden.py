@@ -19,8 +19,13 @@ raise), each run with relationship uniqueness enforced and not, and a
 stateful write/read stream whose MERGE clauses exercise the matcher
 against a mutating graph.  The digest was recorded before the matcher's
 generator pipeline was replaced.
+
+The same read queries also run through the compiled core
+(:func:`repro.engine.plan.build_plan`), which must give the interpreter's
+rows, row order and errors.
 """
 
+import functools
 import hashlib
 import random
 
@@ -34,10 +39,12 @@ from repro.baselines import (
 )
 from repro.core import QuerySynthesizer, SynthesizerConfig
 from repro.core.ground_truth import select_ground_truth
+from repro.cypher.printer import print_query
 from repro.engine import EvaluationBudgetExceeded, Executor, evaluation_budget
 from repro.engine.envelope import ENVELOPE
 from repro.engine.errors import CypherError
 from repro.engine.executor import default_procedures
+from repro.engine.plan import ExecutionContext, build_plan
 from repro.graph.generator import GraphGenerator
 from repro.synth.state.model import StateModel
 from repro.synth.state.oracle import state_digest
@@ -119,17 +126,29 @@ def baseline_queries():
                 yield graph, generator.generate()
 
 
+@functools.lru_cache(maxsize=None)
+def read_corpus():
+    """Every read query of the corpus with its executor, in digest order.
+
+    Built once per session: the interpreter digest and the compiled-core
+    check below share it.
+    """
+    corpus = []
+    for graph, enforce, call, query in synthesis_queries():
+        procedures = default_procedures() if call else {}
+        corpus.append((Executor(graph, enforce, procedures), query))
+    for graph, query in baseline_queries():
+        for enforce in (True, False):
+            corpus.append((Executor(graph, enforce), query))
+    return tuple(corpus)
+
+
 def interpreter_digest():
     hasher = hashlib.sha256()
     counts = {"queries": 0, "blown": 0, "errors": 0}
 
-    for graph, enforce, call, query in synthesis_queries():
-        procedures = default_procedures() if call else {}
-        _record(hasher, counts, Executor(graph, enforce, procedures), query)
-
-    for graph, query in baseline_queries():
-        for enforce in (True, False):
-            _record(hasher, counts, Executor(graph, enforce), query)
+    for executor, query in read_corpus():
+        _record(hasher, counts, executor, query)
 
     for seed in STATE_SEEDS:
         _schema, graph = GraphGenerator(seed=seed).generate_with_schema()
@@ -155,3 +174,32 @@ def test_interpreter_behaviour_matches_golden_digest():
     assert counts["blown"] > 100, counts
     assert counts["errors"] > 50, counts
     assert digest == GOLDEN_DIGEST, counts
+
+
+def _compiled_outcome(executor, query):
+    """The outcome of *query* on the compiled core, shaped like ``_outcome``."""
+    try:
+        plan = build_plan(
+            query,
+            enforce_rel_uniqueness=executor.matcher.enforce_rel_uniqueness,
+        )
+        result = plan.execute(
+            ExecutionContext(executor.graph, procedures=executor.procedures)
+        )
+    except CypherError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("rows", result.columns, result.rows, result.ordered)
+
+
+def test_compiled_core_matches_the_interpreter_on_the_read_corpus():
+    corpus = read_corpus()
+    assert len(corpus) == 4320
+    fallbacks = 0
+    for executor, query in corpus:
+        enforce = executor.matcher.enforce_rel_uniqueness
+        fallbacks += build_plan(query, enforce_rel_uniqueness=enforce).is_fallback
+        expected, _steps = _outcome(executor, query, COUNTING_BUDGET)
+        compiled = _compiled_outcome(executor, query)
+        assert repr(compiled) == repr(expected), print_query(query)
+    # A fallback plan runs no compiled code: the corpus must not hide in it.
+    assert fallbacks == 0

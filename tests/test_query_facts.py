@@ -49,7 +49,7 @@ def _clause_bound_variables(clause) -> Set[str]:
         bound.add(clause.alias)
     elif isinstance(clause, (ast.With, ast.Return)):
         for item in clause.items:
-            bound.add(item.output_name())
+            bound.add(item.column)
     elif isinstance(clause, ast.Call):
         for name, alias in clause.yield_items:
             bound.add(alias or name)
